@@ -5,7 +5,10 @@
 // its SCHEDULED arrival to completion, so server queueing delay is part
 // of the number instead of silently throttling the offered load (the
 // closed-loop mistake). The sweep crosses offered load x client count x
-// scheme and reports achieved throughput and p50/p99/p999 latency.
+// scheme and reports achieved throughput and p50/p99/p999 latency. The
+// schedule, timer slack and nearest-rank percentile rule are dpstore_bench's
+// (dpbench/load_gen.h): a percentile with fewer than ten samples beyond its
+// rank is omitted from the cell rather than reported as the maximum.
 //
 // By default the server is in-process: a StorageService behind a real
 // Unix listener on a temp path (the same engine/service/wire stack
@@ -51,12 +54,14 @@
 #include <cstring>
 #include <latch>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_json.h"
 #include "chaos_proxy.h"
+#include "dpbench/load_gen.h"
 
 #include "core/scheme_registry.h"
 #include "server/storage_service.h"
@@ -67,7 +72,7 @@
 namespace dpstore {
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
 
 // --- In-process server -------------------------------------------------------
 
@@ -140,18 +145,11 @@ struct CellResult {
   /// Acked-only throughput: what the service actually delivered.
   double achieved_ok_ops_sec = 0.0;
   double mean_ms = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  double p999_ms = 0.0;
+  /// Empty when the cell has too few samples for the percentile.
+  std::optional<double> p50_ms;
+  std::optional<double> p99_ms;
+  std::optional<double> p999_ms;
 };
-
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const size_t index = std::min(
-      sorted.size() - 1, static_cast<size_t>(p * static_cast<double>(
-                                                     sorted.size())));
-  return sorted[index];
-}
 
 /// Runs one open-loop cell: `clients` scheme instances built from
 /// `base_config` (socket target, backend topology, retry/reconnect knobs),
@@ -185,8 +183,6 @@ CellResult RunCell(const std::string& scheme_name,
 
   // Each client owns an even share of the offered load; arrivals are
   // evenly spaced (deterministic schedule, so runs are reproducible).
-  const std::chrono::nanoseconds interval(
-      static_cast<int64_t>(1e9 * static_cast<double>(clients) / rate));
   std::vector<std::vector<double>> latencies(clients);
   std::vector<Clock::time_point> last_done(clients);
   std::atomic<uint64_t> errors{0};
@@ -202,11 +198,9 @@ CellResult RunCell(const std::string& scheme_name,
       std::vector<double>& lat = latencies[c];
       lat.reserve(ops_per_client);
       ready.arrive_and_wait();
-      // Stagger clients by a fraction of the interval so the combined
-      // arrival process is evenly spaced, not N synchronized bursts.
-      const Clock::time_point base = start + interval * c / clients;
+      const bench::OpenLoopSchedule schedule(start, rate, clients, c);
       for (uint64_t i = 0; i < ops_per_client; ++i) {
-        const Clock::time_point scheduled = base + interval * i;
+        const Clock::time_point scheduled = schedule.Due(i);
         std::this_thread::sleep_until(scheduled);
         const BlockId id = static_cast<BlockId>(
             (0x9E3779B97F4A7C15ULL * (i + 1 + uint64_t{c} * 7919)) >> 32 &
@@ -253,9 +247,9 @@ CellResult RunCell(const std::string& scheme_name,
   double sum = 0;
   for (double ms : all) sum += ms;
   result.mean_ms = all.empty() ? 0.0 : sum / static_cast<double>(all.size());
-  result.p50_ms = Percentile(all, 0.50);
-  result.p99_ms = Percentile(all, 0.99);
-  result.p999_ms = Percentile(all, 0.999);
+  result.p50_ms = bench::Percentile(all, 500);
+  result.p99_ms = bench::Percentile(all, 990);
+  result.p999_ms = bench::Percentile(all, 999);
   return result;
 }
 
@@ -274,9 +268,9 @@ void EmitCell(const std::string& scheme, const std::string& transport,
   json.Metric("ops", result.ops);
   json.Metric("errors", result.errors);
   json.Metric("mean_ms", result.mean_ms);
-  json.Metric("p50_ms", result.p50_ms);
-  json.Metric("p99_ms", result.p99_ms);
-  json.Metric("p999_ms", result.p999_ms);
+  if (result.p50_ms) json.Metric("p50_ms", *result.p50_ms);
+  if (result.p99_ms) json.Metric("p99_ms", *result.p99_ms);
+  if (result.p999_ms) json.Metric("p999_ms", *result.p999_ms);
   json.Metric("ok", result.ok ? 1 : 0);
   if (!tag.empty()) json.Metric("tag", tag);
   json.Emit();
@@ -355,6 +349,8 @@ uint64_t DeriveOpsPerClient(double rate, unsigned clients) {
 
 int main(int argc, char** argv) {
   using namespace dpstore;
+  // Before any client thread starts, so every generator inherits it.
+  bench::SetTightTimerSlack();
 
   std::string unix_path;
   std::string unix_path2;

@@ -1,6 +1,6 @@
 // Experiment E13, rebuilt on the exchange-shaped storage transport: a
 // registry-driven throughput sweep over schemes x backends x workloads,
-// a scale sweep locating where sharding/async pays on real hardware, a
+// a scale sweep locating where sharding pays on real hardware, a
 // pipelined-replay sweep over exchange depths, and a raw transport
 // microbench over batch sizes. Blocks-per-query is the paper's cost model;
 // this harness confirms the ordering survives real execution (encryption,
@@ -28,10 +28,8 @@
 #include "analysis/driver.h"
 #include "analysis/workload.h"
 #include "core/scheme_registry.h"
-#include "storage/async_sharded_backend.h"
 #include "storage/fusing_backend.h"
 #include "storage/server.h"
-#include "storage/sharded_backend.h"
 #include "storage/write_back_cache.h"
 #include "util/check.h"
 
@@ -43,8 +41,7 @@ constexpr size_t kRecordSize = 64;
 constexpr size_t kOpsPerCell = 96;
 constexpr double kWriteFraction = 0.25;
 constexpr double kZipfTheta = 0.99;  // YCSB default skew
-const char* const kBackends[] = {"memory", "sharded", "async_sharded",
-                                 "cached"};
+const char* const kBackends[] = {"memory", "sharded", "cached"};
 
 SchemeConfig CellConfig(const std::string& backend) {
   SchemeConfig config;
@@ -167,7 +164,7 @@ int SweepKvsSchemes() {
   return cells;
 }
 
-// --- Scale sweep: where do sharding and async pay? ---------------------------
+// --- Scale sweep: where does sharding pay? -----------------------------------
 
 struct ScaleCase {
   const char* scheme;
@@ -193,44 +190,41 @@ constexpr uint64_t kScaleShards[] = {1, 4, 16, 64};
 int SweepScale() {
   int cells = 0;
   for (const ScaleCase& scale : kScaleCases) {
-    for (const char* backend : {"sharded", "async_sharded"}) {
-      for (uint64_t shards : kScaleShards) {
-        SchemeConfig config;
-        config.n = uint64_t{1} << scale.log2_n;
-        config.value_size = kRecordSize;
-        config.seed = 31337;
-        config.backend = backend;
-        config.shards = shards;
-        config.counting_only_transcript = true;  // bounds sweep memory
-        auto scheme = SchemeRegistry::Instance().MakeRam(scale.scheme, config);
-        DPSTORE_CHECK_OK(scheme.status());
-        Rng rng(config.seed);
-        auto workload = MakeRamWorkload("uniform", &rng, config.n, scale.ops,
-                                        /*write_fraction=*/0.0);
-        DPSTORE_CHECK_OK(workload.status());
-        auto report = RunRamWorkload(scheme->get(), *workload);
-        DPSTORE_CHECK_OK(report.status());
-        bench::BenchJson json("throughput_scale_" +
-                              std::string(scale.scheme) + "_n" +
-                              std::to_string(scale.log2_n) + "_" + backend +
-                              "_s" + std::to_string(shards));
-        json.Metric("scheme", std::string(scale.scheme));
-        json.Metric("backend", std::string(backend));
-        json.Metric("log2_n", scale.log2_n);
-        json.Metric("shards", shards);
-        json.Metric("ops", report->operations);
-        json.Metric("blocks_per_op", report->BlocksPerOp());
-        json.Metric("roundtrips_per_op", report->RoundtripsPerOp());
-        json.Metric("lan_ms_per_op", report->LatencyPerOpMs(kLanModel));
-        json.Metric("wan_ms_per_op", report->LatencyPerOpMs(kWanModel));
-        json.Metric("wall_ms_per_op",
-                    report->operations == 0
-                        ? 0.0
-                        : report->wall_ms /
-                              static_cast<double>(report->operations));
-        json.Emit();
-        ++cells;
-      }
+    for (uint64_t shards : kScaleShards) {
+      SchemeConfig config;
+      config.n = uint64_t{1} << scale.log2_n;
+      config.value_size = kRecordSize;
+      config.seed = 31337;
+      config.backend = "sharded";
+      config.shards = shards;
+      config.counting_only_transcript = true;  // bounds sweep memory
+      auto scheme = SchemeRegistry::Instance().MakeRam(scale.scheme, config);
+      DPSTORE_CHECK_OK(scheme.status());
+      Rng rng(config.seed);
+      auto workload = MakeRamWorkload("uniform", &rng, config.n, scale.ops,
+                                      /*write_fraction=*/0.0);
+      DPSTORE_CHECK_OK(workload.status());
+      auto report = RunRamWorkload(scheme->get(), *workload);
+      DPSTORE_CHECK_OK(report.status());
+      bench::BenchJson json("throughput_scale_" + std::string(scale.scheme) +
+                            "_n" + std::to_string(scale.log2_n) +
+                            "_sharded_s" + std::to_string(shards));
+      json.Metric("scheme", std::string(scale.scheme));
+      json.Metric("backend", std::string("sharded"));
+      json.Metric("log2_n", scale.log2_n);
+      json.Metric("shards", shards);
+      json.Metric("ops", report->operations);
+      json.Metric("blocks_per_op", report->BlocksPerOp());
+      json.Metric("roundtrips_per_op", report->RoundtripsPerOp());
+      json.Metric("lan_ms_per_op", report->LatencyPerOpMs(kLanModel));
+      json.Metric("wan_ms_per_op", report->LatencyPerOpMs(kWanModel));
+      json.Metric("wall_ms_per_op",
+                  report->operations == 0
+                      ? 0.0
+                      : report->wall_ms /
+                            static_cast<double>(report->operations));
+      json.Emit();
+      ++cells;
     }
   }
   return cells;
@@ -293,9 +287,9 @@ int SweepSocket() {
 // --- Pipelined exchange replay ----------------------------------------------
 
 /// Records one Path ORAM main-tree transcript, then replays its per-query
-/// exchanges through Submit/Wait at growing pipeline depth on sync and
-/// async sharded backends. Depth moves measured wall-clock only — the
-/// transport axes (and the replayed bytes) are depth-invariant by contract.
+/// exchanges through Submit/Wait at growing pipeline depth on the sharded
+/// backend. Depth moves measured wall-clock only — the transport axes (and
+/// the replayed bytes) are depth-invariant by contract.
 int SweepPipeline() {
   SchemeConfig config;
   config.n = uint64_t{1} << 12;
@@ -321,11 +315,16 @@ int SweepPipeline() {
 
   int cells = 0;
   for (uint64_t shards : {uint64_t{1}, uint64_t{4}, uint64_t{16}}) {
+    SchemeConfig sharded;
+    sharded.backend = "sharded";
+    sharded.shards = shards;
+    auto factory = BackendFactoryFor(sharded);
+    DPSTORE_CHECK_OK(factory.status());
     for (uint64_t depth : {uint64_t{1}, uint64_t{2}, uint64_t{4},
                            uint64_t{8}}) {
-      AsyncShardedBackend backend(main_tree->n(), main_tree->block_size(),
-                                  shards);
-      auto report = RunExchangePipeline(&backend, plan, depth);
+      std::unique_ptr<StorageBackend> backend =
+          (*factory)(main_tree->n(), main_tree->block_size());
+      auto report = RunExchangePipeline(backend.get(), plan, depth);
       DPSTORE_CHECK_OK(report.status());
       bench::BenchJson json("throughput_pipeline_s" + std::to_string(shards) +
                             "_d" + std::to_string(depth));

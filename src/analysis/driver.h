@@ -76,7 +76,7 @@ StatusOr<WorkloadReport> RunKvsWorkload(KvsScheme* scheme,
 // serialize their *transport*: the adversary's view of a query is exactly
 // its exchanges, so replaying a recorded transcript through Submit/Wait with
 // several exchanges in flight measures what the access pattern costs on a
-// backend that can overlap work (AsyncShardedBackend) — without perturbing
+// backend that can overlap work (socket, cluster) — without perturbing
 // the scheme's own results, which were produced when the transcript was
 // recorded. This is the paper's separation of axes made operational:
 // blocks/roundtrips stay identical at every depth; only wall-clock moves.

@@ -90,7 +90,7 @@ StatusOr<std::optional<Block>> MultiServerDpIr::Query(BlockId index) {
 
   // Phase 1 - submit every replica's subset as one exchange message before
   // waiting on any: the D per-replica roundtrips genuinely overlap on a
-  // backend that can (AsyncShardedBackend), matching the "1 roundtrip per
+  // backend that can (socket, cluster), matching the "1 roundtrip per
   // replica, issued in parallel" accounting this scheme always advertised.
   std::vector<std::vector<uint64_t>> download_sets(d);
   std::vector<Ticket> tickets(d);

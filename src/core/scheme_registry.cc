@@ -19,11 +19,9 @@
 #include "pir/dpf_pir.h"
 #include "pir/trivial_pir.h"
 #include "pir/xor_pir.h"
-#include "storage/async_sharded_backend.h"
 #include "storage/cluster.h"
 #include "storage/fusing_backend.h"
 #include "storage/retrying_backend.h"
-#include "storage/sharded_backend.h"
 #include "storage/socket_backend.h"
 #include "storage/write_back_cache.h"
 
@@ -239,15 +237,29 @@ StatusOr<BackendFactory> BackendFactoryFor(const SchemeConfig& config) {
   if (config.backend == "memory") {
     return MemoryBackendFactory(config.counting_only_transcript);
   }
-  if (config.backend == "sharded" || config.backend == "async_sharded") {
+  if (config.backend == "sharded") {
     if (config.shards == 0) {
       return InvalidArgumentError("sharded backend needs shards >= 1");
     }
-    return config.backend == "sharded"
-               ? ShardedBackendFactory(config.shards,
-                                       config.counting_only_transcript)
-               : AsyncShardedBackendFactory(config.shards,
-                                            config.counting_only_transcript);
+    // `shards` single-slot ranges: the cluster routing law with in-memory
+    // legs. The endpoints only satisfy the grammar; the leg factory
+    // replaces the transport, so nothing is ever dialed.
+    std::string text;
+    for (uint64_t s = 0; s < config.shards; ++s) {
+      const std::string id = std::to_string(s);
+      text.append("node s").append(id).append(" unix:s").append(id);
+      text.append("\nrange ").append(id).append(" ");
+      text.append(std::to_string(s + 1)).append(" s").append(id).append("\n");
+    }
+    DPSTORE_ASSIGN_OR_RETURN(ClusterConfig cluster, ClusterConfig::Parse(text));
+    const bool counting = config.counting_only_transcript;
+    ClusterBackendOptions options;
+    options.leg_factory = [counting](size_t, const ClusterNode&, uint64_t n,
+                                     size_t block_size) {
+      return MemoryBackendFactory(counting)(n, block_size);
+    };
+    return ClusterBackendFactory(std::move(cluster), std::move(options),
+                                 counting);
   }
   if (config.backend == "cached") {
     if (config.cache_blocks == 0) {
@@ -349,10 +361,7 @@ StatusOr<BackendFactory> BackendFactoryFor(const SchemeConfig& config) {
     return RetryingBackendFactory(std::move(options),
                                   std::move(inner_factory));
   }
-  return NotFoundError(
-      "unknown backend '" + config.backend +
-      "' (known: memory, sharded, async_sharded, cached, fused, socket, "
-      "cluster, retry)");
+  return NotFoundError("unknown backend '" + config.backend + "'");
 }
 
 SchemeRegistry& SchemeRegistry::Instance() {

@@ -223,9 +223,9 @@ class FaultInjector {
 /// (Definition 3.1): a passive array of n equal-sized blocks exchanged with
 /// the client in messages. Every scheme talks to storage exclusively through
 /// this seam, so the array can live in memory (StorageServer), be
-/// partitioned across shards (ShardedBackend / AsyncShardedBackend), sit
-/// behind a write-back cache (WriteBackCacheBackend), or — in later growth
-/// steps — behind a real RPC transport, without the scheme noticing.
+/// partitioned across shard ranges (ClusterBackend), sit behind a
+/// write-back cache (WriteBackCacheBackend), or behind a real RPC
+/// transport (SocketBackend), without the scheme noticing.
 ///
 /// The transport surface is two-phase and message-shaped:
 ///
@@ -233,8 +233,8 @@ class FaultInjector {
 ///   ... submit more exchanges, overlap client work ...
 ///   StatusOr<StorageReply> reply = backend->Wait(t);
 ///
-/// Submit never blocks on storage (an async backend starts the exchange on
-/// worker threads; a synchronous backend executes it eagerly and parks the
+/// Submit never blocks on storage (an async backend puts the exchange on
+/// the wire; a synchronous backend executes it eagerly and parks the
 /// reply); Wait blocks until the reply is ready and surfaces any error. A
 /// ticket is single-use: Wait consumes it. The classic narrow calls
 /// (Download/Upload/DownloadMany/UploadMany) are thin wrappers implemented
@@ -279,7 +279,8 @@ class StorageBackend {
 
   /// Blocks until the exchange behind `ticket` completes and returns its
   /// reply (downloaded blocks in request order; empty for uploads).
-  /// Consumes the ticket: a second Wait on it is NotFound.
+  /// Consumes the ticket: a second Wait on it (or a Wait on a ticket never
+  /// issued) is InvalidArgument, on every backend.
   /// \param ticket  a ticket returned by Submit and not yet waited on
   /// \return the reply, or the exchange's error (validation, injected
   ///         fault, transport failure) — in which case nothing was
@@ -355,7 +356,7 @@ class StorageBackend {
   /// The one operation a synchronous implementation provides: run one
   /// non-empty exchange to completion (validate, roll the fault injector
   /// once, move the blocks, record the transcript). Backends that overlap
-  /// exchanges (AsyncShardedBackend) override Submit/Wait directly and
+  /// exchanges (SocketBackend, ClusterBackend) override Submit/Wait and
   /// implement this as Submit+Wait.
   virtual StatusOr<StorageReply> Execute(StorageRequest request) = 0;
 
@@ -369,8 +370,8 @@ class StorageBackend {
 /// Constructs the storage behind a scheme: given the array geometry the
 /// scheme computed, returns the backend it will query through. Schemes
 /// default to an in-memory StorageServer when no factory is supplied; the
-/// registry plugs in sharded / async / cached (and, later, RPC) topologies
-/// here.
+/// registry plugs in sharded / cached / fused / socket / cluster
+/// topologies here.
 using BackendFactory =
     std::function<std::unique_ptr<StorageBackend>(uint64_t n,
                                                   size_t block_size)>;

@@ -386,13 +386,17 @@ Status ClusterBackend::SetArray(std::vector<Block> blocks) {
   return OkStatus();
 }
 
+Ticket ClusterBackend::Park(Flight flight) {
+  const Ticket ticket = next_ticket_++;
+  flights_.emplace_back(ticket, std::move(flight));
+  return ticket;
+}
+
 Ticket ClusterBackend::ParkImmediate(Status status) {
   Flight flight;
   flight.immediate = true;
   flight.immediate_status = std::move(status);
-  const Ticket ticket = next_ticket_++;
-  flights_.emplace(ticket, std::move(flight));
-  return ticket;
+  return Park(std::move(flight));
 }
 
 void ClusterBackend::SubmitLeg(Flight& flight, size_t node,
@@ -406,12 +410,11 @@ void ClusterBackend::SubmitLeg(Flight& flight, size_t node,
 }
 
 Ticket ClusterBackend::Submit(StorageRequest request) {
+  // Free by contract: no RPC, no fault roll, no transcript event.
+  if (request.IsNoOp()) return ParkImmediate(OkStatus());
   Status status = ValidateRequest(request, n_, block_size_);
   if (status.ok()) status = faults_.MaybeInject();
   if (!status.ok()) return ParkImmediate(std::move(status));
-  if (request.op != StorageRequest::Op::kDpfEval && request.IsNoOp()) {
-    return ParkImmediate(OkStatus());  // free by contract: no RPC at all
-  }
 
   const uint64_t deadline_ms =
       request.deadline_ms != 0 ? request.deadline_ms : options_.leg_deadline_ms;
@@ -446,45 +449,66 @@ Ticket ClusterBackend::Submit(StorageRequest request) {
       leg.deadline_ms = deadline_ms;
       SubmitLeg(flight, members_[r][0], std::move(leg));
     }
-    const Ticket ticket = next_ticket_++;
-    flights_.emplace(ticket, std::move(flight));
-    return ticket;
+    return Park(std::move(flight));
   }
-
-  flight.indices = request.indices;
 
   // Partition the batch into per-range legs (global addresses + reply
-  // positions), counting first so each leg reserves exactly once.
-  std::vector<std::vector<BlockId>> range_indices(members_.size());
-  std::vector<std::vector<size_t>> range_positions(members_.size());
-  std::vector<size_t> counts(members_.size(), 0);
-  for (BlockId index : request.indices) ++counts[RangeOf(index)];
-  for (size_t r = 0; r < members_.size(); ++r) {
-    range_indices[r].reserve(counts[r]);
-    range_positions[r].reserve(counts[r]);
+  // positions), counting first so each leg reserves exactly once. A range
+  // that takes the whole batch is the identity partition: its leg carries
+  // the request's indices in request order and no positions, so a
+  // one-range topology forwards the exchange without scatter or gather.
+  const size_t ranges = members_.size();
+  std::vector<size_t> counts(ranges, 0);
+  if (ranges == 1) {
+    counts[0] = request.indices.size();  // no per-index routing pass
+  } else {
+    for (BlockId index : request.indices) ++counts[RangeOf(index)];
   }
-  for (size_t i = 0; i < request.indices.size(); ++i) {
-    const size_t r = RangeOf(request.indices[i]);
-    range_indices[r].push_back(request.indices[i]);
-    range_positions[r].push_back(i);
-  }
-  for (size_t r = 0; r < members_.size(); ++r) {
-    if (!range_indices[r].empty() && members_[r].empty()) {
+  size_t whole = kNone;
+  for (size_t r = 0; r < ranges; ++r) {
+    if (counts[r] != 0 && members_[r].empty()) {
       return ParkImmediate(UnavailableError(
           "cluster range " + std::to_string(r) +
           " has no live members (spares exhausted)"));
     }
+    if (counts[r] == request.indices.size()) whole = r;
   }
+  std::vector<std::vector<BlockId>> range_indices(ranges);
+  std::vector<std::vector<size_t>> range_positions(ranges);
+  if (whole != kNone) {
+    range_indices[whole] = request.indices;
+  } else {
+    for (size_t r = 0; r < ranges; ++r) {
+      range_indices[r].reserve(counts[r]);
+      range_positions[r].reserve(counts[r]);
+    }
+    for (size_t i = 0; i < request.indices.size(); ++i) {
+      const size_t r = RangeOf(request.indices[i]);
+      range_indices[r].push_back(request.indices[i]);
+      range_positions[r].push_back(i);
+    }
+  }
+  // Rebases a range's global addresses onto `node`'s arena. The index
+  // vector moves into the last member's leg; earlier members get copies.
+  const auto local_indices = [&](size_t r, size_t m) {
+    const size_t node = members_[r][m];
+    std::vector<BlockId> local = m + 1 == members_[r].size()
+                                     ? std::move(range_indices[r])
+                                     : range_indices[r];
+    if (leg_base_[node] != 0) {
+      for (BlockId& index : local) index -= leg_base_[node];
+    }
+    return local;
+  };
 
   if (request.op == StorageRequest::Op::kDownload) {
-    for (size_t r = 0; r < members_.size(); ++r) {
-      if (range_indices[r].empty()) continue;
-      const size_t node = members_[r][0];
-      std::vector<BlockId> local = range_indices[r];
-      for (BlockId& index : local) index -= leg_base_[node];
-      StorageRequest leg = StorageRequest::DownloadOf(std::move(local));
+    for (size_t r = 0; r < ranges; ++r) {
+      if (counts[r] == 0) continue;
+      // Downloads go to the primary only, so it is the last member served.
+      StorageRequest leg = StorageRequest::DownloadOf(local_indices(r, 0));
       leg.deadline_ms = deadline_ms;
-      SubmitLeg(flight, node, std::move(leg), std::move(range_positions[r]));
+      SubmitLeg(flight, members_[r][0], std::move(leg),
+                std::move(range_positions[r]));
     }
   } else {
     // Uploads mirror to every member of each touched range (replicas stay
@@ -492,33 +516,35 @@ Ticket ClusterBackend::Submit(StorageRequest request) {
     // standby: adoption never has to move a byte).
     const uint8_t* in =
         request.payload.empty() ? nullptr : request.payload[0].data();
-    for (size_t r = 0; r < members_.size(); ++r) {
-      if (range_indices[r].empty()) continue;
-      const std::vector<size_t>& positions = range_positions[r];
-      BlockBuffer chunk =
-          BlockBuffer::FromPool(pool_, positions.size(), block_size_);
-      uint8_t* chunk_out = chunk.empty() ? nullptr : chunk.Mutable(0).data();
-      for (size_t k = 0; k < positions.size();) {
-        size_t run = 1;
-        while (k + run < positions.size() &&
-               positions[k + run] == positions[k] + run) {
-          ++run;
+    for (size_t r = 0; r < ranges; ++r) {
+      if (counts[r] == 0) continue;
+      BlockBuffer chunk;
+      if (r == whole) {
+        // Spares below still read the request's payload.
+        chunk = spares_.empty() ? std::move(request.payload) : request.payload;
+      } else {
+        const std::vector<size_t>& positions = range_positions[r];
+        chunk = BlockBuffer::FromPool(pool_, positions.size(), block_size_);
+        uint8_t* chunk_out = chunk.empty() ? nullptr : chunk.Mutable(0).data();
+        for (size_t k = 0; k < positions.size();) {
+          size_t run = 1;
+          while (k + run < positions.size() &&
+                 positions[k + run] == positions[k] + run) {
+            ++run;
+          }
+          CopyBytes(chunk_out + k * block_size_,
+                    in + positions[k] * block_size_, run * block_size_);
+          k += run;
         }
-        CopyBytes(chunk_out + k * block_size_,
-                  in + positions[k] * block_size_, run * block_size_);
-        k += run;
       }
       for (size_t m = 0; m < members_[r].size(); ++m) {
-        const size_t node = members_[r][m];
-        std::vector<BlockId> local = range_indices[r];
-        for (BlockId& index : local) index -= leg_base_[node];
         BlockBuffer payload =
             m + 1 == members_[r].size() ? std::move(chunk) : chunk;
         StorageRequest leg =
-            StorageRequest::UploadOf(std::move(local), std::move(payload));
+            StorageRequest::UploadOf(local_indices(r, m), std::move(payload));
         leg.deadline_ms = deadline_ms;
         leg.idempotent = request.idempotent;
-        SubmitLeg(flight, node, std::move(leg));
+        SubmitLeg(flight, members_[r][m], std::move(leg));
       }
     }
     for (size_t node : spares_) {
@@ -530,15 +556,18 @@ Ticket ClusterBackend::Submit(StorageRequest request) {
     }
   }
 
-  const Ticket ticket = next_ticket_++;
-  flights_.emplace(ticket, std::move(flight));
-  return ticket;
+  flight.indices = std::move(request.indices);
+  return Park(std::move(flight));
 }
 
 StatusOr<StorageReply> ClusterBackend::Wait(Ticket ticket) {
-  auto it = flights_.find(ticket);
+  auto it = std::find_if(flights_.begin(), flights_.end(),
+                         [ticket](const auto& parked) {
+                           return parked.first == ticket;
+                         });
   if (it == flights_.end()) {
-    return NotFoundError("unknown or already-waited ticket");
+    return InvalidArgumentError("Wait: unknown or already-consumed ticket " +
+                                std::to_string(ticket));
   }
   Flight flight = std::move(it->second);
   flights_.erase(it);
@@ -547,9 +576,13 @@ StatusOr<StorageReply> ClusterBackend::Wait(Ticket ticket) {
     return StorageReply{};
   }
 
+  // A download leg without positions carries the whole batch in request
+  // order (see Submit): its reply buffer becomes the parent reply as is.
+  const bool forward_leg = flight.op == StorageRequest::Op::kDownload &&
+                           flight.calls[0].positions.empty();
   StorageReply reply;
   uint8_t* out = nullptr;
-  if (flight.op == StorageRequest::Op::kDownload) {
+  if (flight.op == StorageRequest::Op::kDownload && !forward_leg) {
     reply.blocks =
         BlockBuffer::FromPool(pool_, flight.indices.size(), block_size_);
     out = reply.blocks.empty() ? nullptr : reply.blocks.Mutable(0).data();
@@ -575,7 +608,9 @@ StatusOr<StorageReply> ClusterBackend::Wait(Ticket ticket) {
       }
       continue;
     }
-    if (flight.op == StorageRequest::Op::kDownload) {
+    if (forward_leg) {
+      reply.blocks = std::move(leg_reply->blocks);
+    } else if (flight.op == StorageRequest::Op::kDownload) {
       const uint8_t* in =
           leg_reply->blocks.empty() ? nullptr : leg_reply->blocks[0].data();
       const std::vector<size_t>& positions = call.positions;
@@ -709,8 +744,12 @@ void ClusterBackend::CorruptBlock(BlockId index) {
 }
 
 void ClusterBackend::SetFailureRate(double rate, uint64_t seed) {
-  // One roll at this level per exchange (see ShardedBackend): injecting
-  // into individual legs would half-apply spanning exchanges.
+  // Deliberately NOT forwarded to the legs: one roll at this level per
+  // exchange keeps batched exchanges all-or-nothing. Were each leg to roll
+  // its own fault, a spanning upload could apply on one range and fail on
+  // another, leaving a half-written bucket that the schemes' rollback
+  // discipline (which assumes nothing reached storage on error) would
+  // silently serve back corrupted.
   faults_.Set(rate, seed);
 }
 

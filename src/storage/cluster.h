@@ -22,7 +22,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -82,9 +81,9 @@ class ClusterConfig {
   static StatusOr<ClusterConfig> ParseFile(const std::string& path);
 
   /// Number of routing slots the ranges tile. Block addresses map onto
-  /// slots uniformly: rows_per_slot = max(ceil(n / slots), 1), the exact
-  /// ShardRouter geometry, so a cluster of single-slot ranges routes
-  /// bit-identically to a ShardedBackend with slots shards.
+  /// slots uniformly: rows_per_slot = max(ceil(n / slots), 1). K
+  /// single-slot ranges over in-memory legs is the registry's "sharded"
+  /// backend (a K-way contiguous partition).
   uint64_t slots() const { return slots_; }
   const std::vector<ClusterNode>& nodes() const { return nodes_; }
   /// Ranges sorted by lo, tiling [0, slots()) with no gaps or overlaps.
@@ -118,10 +117,10 @@ struct ClusterBackendOptions {
   uint64_t namespace_base = 0;
   /// Decorrelates leg reconnect backoff jitter.
   uint64_t reconnect_seed = 42;
-  /// Test seam: builds the transport leg for `node` with an
-  /// `n` x `block_size` arena. Null = real SocketBackend per the node's
-  /// endpoint. In-memory legs make the routing/failover logic unit-testable
-  /// without processes.
+  /// Builds the transport leg for `node` with an `n` x `block_size` arena.
+  /// Null = real SocketBackend per the node's endpoint. The registry's
+  /// "sharded" backend passes in-memory StorageServer legs here, and tests
+  /// use the same seam to exercise routing/failover without processes.
   std::function<std::unique_ptr<StorageBackend>(
       size_t node_index, const ClusterNode& node, uint64_t n,
       size_t block_size)>
@@ -138,16 +137,21 @@ struct ClusterBackendOptions {
 /// spares hold full-size arenas (local = global) so any spare can adopt
 /// any range.
 ///
-/// Exchange fan-out (the AsyncShardedBackend discipline, legs being
-/// genuinely asynchronous SocketBackends): Submit validates, rolls the
-/// fault injector once, partitions the exchange and submits every leg
-/// without blocking; Wait gathers the legs, reassembles the reply in
-/// request order (downloads), XORs per-range answers (kDpfEval), and only
-/// then records the global transcript — one roundtrip per download/eval
-/// exchange, zero for uploads, events in submission order. The adversary's
-/// view is therefore bit-identical to the single-process `memory` backend
-/// for every scheme, on every topology (cluster_test proves this as an
-/// equivalence matrix).
+/// Exchange fan-out: Submit validates, rolls the fault injector once,
+/// partitions the exchange and submits every leg without blocking (socket
+/// legs are genuinely asynchronous; in-memory legs complete at Submit);
+/// Wait gathers the legs, reassembles the reply in request order
+/// (downloads; a batch that lands on one range is forwarded whole, its
+/// leg's reply buffer moved rather than copied), XORs per-range answers
+/// (kDpfEval), and only then records the global transcript — one
+/// roundtrip per download/eval exchange, zero for uploads, events in
+/// submission order. The adversary's view is therefore bit-identical to
+/// the single-process `memory` backend for every scheme, on every
+/// topology (cluster_test proves this as an equivalence matrix, forked
+/// and in-process).
+///
+/// The registry's "sharded" backend is this class over `shards`
+/// single-slot ranges with in-memory StorageServer legs.
 ///
 /// Replication: uploads mirror to every member of a touched range AND to
 /// every remaining spare (warm standby); downloads and evals go to
@@ -231,9 +235,10 @@ class ClusterBackend : public StorageBackend {
   void CorruptBlock(BlockId index) override;
 
   /// One Bernoulli roll per exchange at Submit, before any leg is
-  /// submitted (see ShardedBackend::SetFailureRate for why the legs stay
-  /// fault-free: a mid-fan-out inner failure would half-apply a spanning
-  /// exchange).
+  /// submitted. Never forwarded to the legs: a mid-fan-out inner failure
+  /// would half-apply a spanning exchange. Do not inject faults into
+  /// individual legs via leg(i) while schemes drive this backend, except
+  /// to simulate a node death (which the failover path handles).
   void SetFailureRate(double rate, uint64_t seed = 7) override;
 
   /// Sum over completed exchanges of (gathered - submitted) plus the
@@ -266,7 +271,8 @@ class ClusterBackend : public StorageBackend {
 
  private:
   /// One leg of an in-flight exchange: the node it went to and, for
-  /// downloads, where each reply block lands in the parent reply.
+  /// downloads, where each reply block lands in the parent reply (empty
+  /// when the leg carries the whole batch in request order).
   struct LegCall {
     size_t node = 0;
     Ticket ticket = 0;
@@ -287,6 +293,8 @@ class ClusterBackend : public StorageBackend {
   };
 
   std::unique_ptr<StorageBackend> MakeLeg(size_t node_index, uint64_t leg_n);
+  /// Files `flight` under a fresh ticket until Wait.
+  Ticket Park(Flight flight);
   Ticket ParkImmediate(Status status);
   /// Marks `node` dead and repairs every range it served (promote the
   /// next member, else adopt a spare). Idempotent per node.
@@ -314,7 +322,10 @@ class ClusterBackend : public StorageBackend {
   std::vector<bool> node_dead_;
 
   Ticket next_ticket_ = 1;
-  std::unordered_map<Ticket, Flight> flights_;
+  /// Exchanges between Submit and Wait. Only a handful are ever in
+  /// flight, so a flat vector (no per-exchange node allocation) beats a
+  /// hash map.
+  std::vector<std::pair<Ticket, Flight>> flights_;
   std::shared_ptr<BufferPool> pool_;
 
   Transcript transcript_;

@@ -328,8 +328,8 @@ StatusOr<StorageReply> SocketBackend::Wait(Ticket ticket) {
       measured_wall_ms_ += MsBetween(flight->submitted, flight->parked);
     }
   }
-  // Transcript recording happens at Wait, atomically per exchange (the
-  // AsyncShardedBackend discipline): awaited in submission order — which
+  // Transcript recording happens at Wait, atomically per exchange (as in
+  // ClusterBackend): awaited in submission order — which
   // every scheme's narrow calls guarantee — the adversary's view is
   // bit-identical to the in-memory backend's.
   if (flight->record && flight->reply.ok()) {

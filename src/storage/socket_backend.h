@@ -74,7 +74,7 @@ struct SocketBackendOptions {
 /// overlaps exchanges on the wire; a reader thread parks ticket-correlated
 /// replies as they arrive. Wait blocks until its reply is parked, records
 /// the transcript exactly as the in-memory backend would (events at Wait,
-/// in submission order — the AsyncShardedBackend discipline, so the
+/// in submission order, as ClusterBackend records them — so the
 /// adversary's view is bit-identical to `memory` when exchanges are
 /// awaited in submission order, which every scheme's narrow calls do), and
 /// accumulates MEASURED wall-clock per exchange alongside the modeled

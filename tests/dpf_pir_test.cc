@@ -118,8 +118,7 @@ TEST(DpfPirTest, PerReplicaTranscriptIsOneKeyUpOneBlockDown) {
 // key through the full wire codec into the in-process socketpair server.
 TEST(DpfPirTest, AnswersBitIdenticalToXorAndTrivialPirOnEveryBackend) {
   for (const std::string& backend :
-       {std::string("memory"), std::string("sharded"),
-        std::string("async_sharded"), std::string("cached"),
+       {std::string("memory"), std::string("sharded"), std::string("cached"),
         std::string("fused"), std::string("socket")}) {
     SCOPED_TRACE(backend);
     auto dpf = SchemeRegistry::Instance().MakeRam("dpf_pir",

@@ -15,10 +15,8 @@
 #include "analysis/driver.h"
 #include "analysis/workload.h"
 #include "core/scheme_registry.h"
-#include "storage/async_sharded_backend.h"
 #include "storage/fusing_backend.h"
 #include "storage/server.h"
-#include "storage/sharded_backend.h"
 #include "storage/write_back_cache.h"
 
 namespace dpstore {
@@ -207,10 +205,12 @@ struct ReplayResult {
 std::unique_ptr<StorageBackend> MakeInner(const std::string& kind, uint64_t n,
                                           size_t block_size) {
   if (kind == "sharded") {
-    return std::make_unique<ShardedBackend>(n, block_size, 3);
-  }
-  if (kind == "async_sharded") {
-    return std::make_unique<AsyncShardedBackend>(n, block_size, 3);
+    SchemeConfig config;
+    config.backend = "sharded";
+    config.shards = 3;
+    auto factory = BackendFactoryFor(config);
+    EXPECT_TRUE(factory.ok()) << factory.status();
+    return (*factory)(n, block_size);
   }
   if (kind == "cached") {
     return std::make_unique<WriteBackCacheBackend>(
@@ -241,7 +241,7 @@ ReplayResult ReplayThroughFusion(const std::vector<StorageRequest>& plan,
 /// the adversary (and the client) sees must be bit-identical.
 TEST(FusionInvarianceTest, ReplayIsBitIdenticalAcrossBudgetsEverywhere) {
   const uint64_t kBudgets[] = {1, 3, 17, uint64_t{1} << 40};
-  const char* kInners[] = {"memory", "sharded", "async_sharded", "cached"};
+  const char* kInners[] = {"memory", "sharded", "cached"};
 
   int schemes_covered = 0;
   for (const std::string& name :

@@ -32,7 +32,7 @@ SchemeConfig SmallConfig(const std::string& backend) {
 
 const std::vector<std::string>& AllBackends() {
   static const std::vector<std::string> backends = {
-      "memory", "sharded", "async_sharded", "cached"};
+      "memory", "sharded", "cached"};
   return backends;
 }
 

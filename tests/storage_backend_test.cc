@@ -1,17 +1,20 @@
 // Tests for the storage transport seam: batched-vs-sequential equivalence,
-// roundtrip accounting, counting-only transcripts, and ShardedBackend
-// correctness across shard counts (including the non-divisible and K > n
-// geometries).
+// roundtrip accounting, counting-only transcripts, the Submit/Wait
+// contract (ticket misuse, free no-op exchanges) uniformly across the
+// registry's backends, and pipeline-depth invariance of replayed
+// exchange plans. Sharded routing itself is covered in cluster_test.
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/cost_model.h"
+#include "analysis/driver.h"
+#include "analysis/workload.h"
 #include "storage/backend.h"
 #include "storage/server.h"
 #include "core/scheme_registry.h"
-#include "storage/sharded_backend.h"
 
 namespace dpstore {
 namespace {
@@ -266,138 +269,23 @@ TEST(CountingOnlyTranscriptTest, DisablingStartsCleanSoQuerySlicesStaySound) {
   EXPECT_EQ(t.QueryDownloads(0), (std::vector<BlockId>{5}));
 }
 
-// --- ShardedBackend ---------------------------------------------------------
+// --- The Submit/Wait contract, uniformly across the backend matrix ---------
 
-TEST(ShardedBackendTest, RoutesEveryAddressAcrossShardCounts) {
-  constexpr uint64_t kN = 10;
-  // Includes the non-divisible cases (3, 4, 7) and K > n (13).
-  for (uint64_t shards : {1u, 2u, 3u, 4u, 7u, 10u, 13u}) {
-    ShardedBackend backend(kN, 8, shards);
-    EXPECT_EQ(backend.n(), kN);
-    EXPECT_EQ(backend.num_shards(), shards);
-    for (BlockId i = 0; i < kN; ++i) {
-      ASSERT_TRUE(backend.Upload(i, MarkerBlock(i, 8)).ok()) << shards;
-    }
-    uint64_t total_held = 0;
-    for (uint64_t s = 0; s < shards; ++s) total_held += backend.shard(s).n();
-    EXPECT_EQ(total_held, kN) << shards;
-    for (BlockId i = 0; i < kN; ++i) {
-      auto got = backend.Download(i);
-      ASSERT_TRUE(got.ok()) << shards;
-      EXPECT_TRUE(IsMarkerBlock(*got, i)) << "shards=" << shards << " i=" << i;
-      EXPECT_TRUE(IsMarkerBlock(backend.PeekBlock(i), i));
-    }
-    EXPECT_EQ(backend.Download(kN).status().code(), StatusCode::kOutOfRange);
-  }
+/// Every registry backend that runs without an external process ("socket"
+/// spawns an in-process pair server).
+constexpr const char* kBackendNames[] = {"memory", "sharded", "cached",
+                                         "fused",  "socket",  "retry"};
+
+std::unique_ptr<StorageBackend> MakeNamedBackend(const char* name) {
+  SchemeConfig config;
+  config.backend = name;
+  auto factory = BackendFactoryFor(config);
+  EXPECT_TRUE(factory.ok()) << factory.status();
+  if (!factory.ok()) return nullptr;
+  std::unique_ptr<StorageBackend> backend = (*factory)(8, 8);
+  EXPECT_TRUE(backend->SetArray(MakeDatabase(8, 8)).ok());
+  return backend;
 }
-
-TEST(ShardedBackendTest, SetArraySplitsAcrossShards) {
-  constexpr uint64_t kN = 7;
-  ShardedBackend backend(kN, 8, 3);  // shards hold 3, 3, 1
-  ASSERT_TRUE(backend.SetArray(MakeDatabase(kN, 8)).ok());
-  EXPECT_EQ(backend.shard(0).n(), 3u);
-  EXPECT_EQ(backend.shard(2).n(), 1u);
-  for (BlockId i = 0; i < kN; ++i) {
-    EXPECT_TRUE(IsMarkerBlock(backend.PeekBlock(i), i));
-  }
-  // Setup is not part of the adversary's view.
-  EXPECT_EQ(backend.transcript().TotalBlocksMoved(), 0u);
-  EXPECT_EQ(backend.SetArray(MakeDatabase(kN - 1, 8)).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(ShardedBackendTest, BatchedSpanningShardsMatchesSequential) {
-  constexpr uint64_t kN = 10;
-  ShardedBackend batched(kN, 8, 3);
-  ShardedBackend sequential(kN, 8, 3);
-  ASSERT_TRUE(batched.SetArray(MakeDatabase(kN, 8)).ok());
-  ASSERT_TRUE(sequential.SetArray(MakeDatabase(kN, 8)).ok());
-
-  // Spans all three shards, out of order, with duplicates.
-  const std::vector<BlockId> indices = {9, 0, 4, 5, 0, 8, 2};
-  batched.BeginQuery();
-  sequential.BeginQuery();
-  auto many = batched.DownloadMany(indices);
-  ASSERT_TRUE(many.ok());
-  std::vector<Block> singles;
-  for (BlockId index : indices) {
-    auto one = sequential.Download(index);
-    ASSERT_TRUE(one.ok());
-    singles.push_back(*one);
-  }
-  EXPECT_EQ(*many, singles);
-  // The top-level transcript records global addresses in request order.
-  EXPECT_EQ(batched.transcript().events(), sequential.transcript().events());
-  // Batched fan-out is ONE roundtrip regardless of shards touched.
-  EXPECT_EQ(batched.roundtrip_count(), 1u);
-  EXPECT_EQ(sequential.roundtrip_count(), indices.size());
-}
-
-TEST(ShardedBackendTest, BatchedUploadRoutesAndRecords) {
-  constexpr uint64_t kN = 10;
-  ShardedBackend backend(kN, 8, 4);
-  const std::vector<BlockId> indices = {7, 1, 9};
-  std::vector<Block> blocks;
-  for (BlockId index : indices) blocks.push_back(MarkerBlock(50 + index, 8));
-  backend.BeginQuery();
-  ASSERT_TRUE(backend.UploadMany(indices, std::move(blocks)).ok());
-  for (BlockId index : indices) {
-    EXPECT_TRUE(IsMarkerBlock(backend.PeekBlock(index), 50 + index));
-  }
-  EXPECT_EQ(backend.upload_count(), indices.size());
-  EXPECT_EQ(backend.roundtrip_count(), 0u);
-}
-
-TEST(ShardedBackendTest, CorruptRoutesToShards) {
-  ShardedBackend backend(6, 8, 2);
-  ASSERT_TRUE(backend.SetArray(MakeDatabase(6, 8)).ok());
-  backend.CorruptBlock(5);
-  EXPECT_FALSE(IsMarkerBlock(backend.PeekBlock(5), 5));
-  EXPECT_TRUE(IsMarkerBlock(backend.PeekBlock(4), 4));
-}
-
-TEST(ShardedBackendTest, InjectedFaultsFailSpanningBatchesAtomically) {
-  constexpr uint64_t kN = 6;
-  ShardedBackend backend(kN, 8, 2);
-  ASSERT_TRUE(backend.SetArray(MakeDatabase(kN, 8)).ok());
-  backend.SetFailureRate(1.0);
-  EXPECT_EQ(backend.Download(0).status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(backend.DownloadMany({0, 5}).status().code(),
-            StatusCode::kUnavailable);
-  // A failed spanning write-back must leave EVERY shard untouched: faults
-  // are rolled once per exchange at the sharded level, never mid-fan-out.
-  EXPECT_EQ(backend.UploadMany({0, 5}, {ZeroBlock(8), ZeroBlock(8)}).code(),
-            StatusCode::kUnavailable);
-  for (BlockId i = 0; i < kN; ++i) {
-    EXPECT_TRUE(IsMarkerBlock(backend.PeekBlock(i), i)) << i;
-  }
-  EXPECT_EQ(backend.transcript().TotalBlocksMoved(), 0u);
-  backend.SetFailureRate(0.0);
-  EXPECT_TRUE(backend.Download(0).ok());
-}
-
-TEST(ShardedBackendTest, CountingOnlyPropagatesToShards) {
-  ShardedBackend backend(6, 8, 2);
-  backend.SetTranscriptCountingOnly(true);
-  backend.BeginQuery();
-  ASSERT_TRUE(backend.DownloadMany({0, 5}).ok());
-  EXPECT_TRUE(backend.transcript().events().empty());
-  EXPECT_TRUE(backend.shard(0).transcript().events().empty());
-  EXPECT_EQ(backend.download_count(), 2u);
-  EXPECT_EQ(backend.shard(0).download_count(), 1u);
-  EXPECT_EQ(backend.shard(1).download_count(), 1u);
-}
-
-TEST(ShardedBackendTest, FactoryProducesWorkingBackend) {
-  BackendFactory factory = ShardedBackendFactory(3);
-  std::unique_ptr<StorageBackend> backend = factory(8, 16);
-  ASSERT_TRUE(backend->Upload(7, MarkerBlock(7, 16)).ok());
-  auto got = backend->Download(7);
-  ASSERT_TRUE(got.ok());
-  EXPECT_TRUE(IsMarkerBlock(*got, 7));
-}
-
-// --- Ticket misuse, uniformly across the whole backend matrix ---------------
 
 /// Every registered backend topology must reject Wait on a never-issued
 /// ticket and on an already-consumed ticket with the SAME code
@@ -405,16 +293,10 @@ TEST(ShardedBackendTest, FactoryProducesWorkingBackend) {
 /// stays reserved for missing data), and must stay fully usable after the
 /// misuse — a bad Wait is a caller bug, not a transport failure.
 TEST(TicketMisuseTest, EveryBackendRejectsUnknownAndConsumedTicketsAlike) {
-  for (const char* name :
-       {"memory", "sharded", "async_sharded", "cached", "fused", "socket",
-        "retry"}) {
+  for (const char* name : kBackendNames) {
     SCOPED_TRACE(name);
-    SchemeConfig config;
-    config.backend = name;  // "socket" spawns an in-process pair server
-    auto factory = BackendFactoryFor(config);
-    ASSERT_TRUE(factory.ok()) << factory.status();
-    std::unique_ptr<StorageBackend> backend = (*factory)(8, 8);
-    ASSERT_TRUE(backend->SetArray(MakeDatabase(8, 8)).ok());
+    std::unique_ptr<StorageBackend> backend = MakeNamedBackend(name);
+    ASSERT_NE(backend, nullptr);
 
     // Never-issued ticket.
     EXPECT_EQ(backend->Wait(987654321).status().code(),
@@ -431,6 +313,131 @@ TEST(TicketMisuseTest, EveryBackendRejectsUnknownAndConsumedTicketsAlike) {
     ASSERT_TRUE(fine.ok()) << fine.status();
     EXPECT_TRUE(IsMarkerBlock(fine->blocks[0], 5));
   }
+}
+
+/// An exchange naming zero blocks is free by contract: no RPC, no fault
+/// roll, no transcript event — so even at failure rate 1.0 it succeeds and
+/// leaves the transcript empty.
+TEST(NoOpExchangeTest, EveryBackendSkipsTheFaultRollOnEmptyExchanges) {
+  for (const char* name : kBackendNames) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<StorageBackend> backend = MakeNamedBackend(name);
+    ASSERT_NE(backend, nullptr);
+    backend->SetFailureRate(1.0);
+    backend->BeginQuery();
+    auto download = backend->Exchange(StorageRequest::DownloadOf({}));
+    ASSERT_TRUE(download.ok()) << download.status();
+    EXPECT_TRUE(download->blocks.empty());
+    auto upload =
+        backend->Exchange(StorageRequest::UploadOf({}, BlockBuffer(8)));
+    ASSERT_TRUE(upload.ok()) << upload.status();
+    EXPECT_TRUE(backend->transcript().events().empty());
+    EXPECT_EQ(backend->transcript().TotalBlocksMoved(), 0u);
+    EXPECT_EQ(backend->roundtrip_count(), 0u);
+  }
+}
+
+// --- Pipelined replay --------------------------------------------------------
+
+class PipelineReplayTest : public ::testing::Test {
+ protected:
+  // Records a real scheme transcript by interposing the backend factory:
+  // the first backend a Path ORAM builds is its main tree.
+  void SetUp() override {
+    SchemeConfig config;
+    config.n = 128;
+    config.value_size = 32;
+    config.seed = 11;
+    std::vector<StorageBackend*> observed;
+    config.backend_factory = [&observed](uint64_t n, size_t block_size) {
+      auto backend = std::make_unique<StorageServer>(n, block_size);
+      observed.push_back(backend.get());
+      return backend;
+    };
+    auto scheme = SchemeRegistry::Instance().MakeRam("path_oram", config);
+    ASSERT_TRUE(scheme.ok());
+    Rng rng(3);
+    auto workload = MakeRamWorkload("uniform", &rng, config.n, 24,
+                                    /*write_fraction=*/0.25);
+    ASSERT_TRUE(workload.ok());
+    ASSERT_TRUE(RunRamWorkload(scheme->get(), *workload).ok());
+    ASSERT_FALSE(observed.empty());
+    main_tree_ = observed[0];
+    plan_ = ExchangePlanFromTranscript(main_tree_->transcript(),
+                                       main_tree_->block_size());
+    ASSERT_FALSE(plan_.empty());
+    n_ = main_tree_->n();
+    block_size_ = main_tree_->block_size();
+    // Keep the scheme alive until the plan is copied out.
+    scheme_ = std::move(*scheme);
+  }
+
+  std::unique_ptr<RamScheme> scheme_;
+  StorageBackend* main_tree_ = nullptr;
+  std::vector<StorageRequest> plan_;
+  uint64_t n_ = 0;
+  size_t block_size_ = 0;
+};
+
+TEST_F(PipelineReplayTest, DepthAndBackendInvariantReplay) {
+  // Reference: the in-memory server at depth 1.
+  StorageServer reference(n_, block_size_);
+  auto ref_report = RunExchangePipeline(&reference, plan_, 1);
+  ASSERT_TRUE(ref_report.ok());
+  EXPECT_EQ(ref_report->exchanges, plan_.size());
+  EXPECT_GT(ref_report->transport.roundtrips, 0u);
+
+  for (uint64_t shards : {1u, 3u, 4u}) {
+    SchemeConfig config;
+    config.backend = "sharded";
+    config.shards = shards;
+    auto factory = BackendFactoryFor(config);
+    ASSERT_TRUE(factory.ok()) << factory.status();
+    for (uint64_t depth : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " depth=" + std::to_string(depth));
+      std::unique_ptr<StorageBackend> backend = (*factory)(n_, block_size_);
+      auto report = RunExchangePipeline(backend.get(), plan_, depth);
+      ASSERT_TRUE(report.ok()) << report.status();
+      // Pipeline depth moves wall-clock only: the replayed data and the
+      // transport axes are bit-for-bit depth- and topology-invariant.
+      EXPECT_EQ(report->reply_hash, ref_report->reply_hash);
+      EXPECT_EQ(report->transport, ref_report->transport);
+      EXPECT_EQ(report->exchanges, ref_report->exchanges);
+    }
+  }
+}
+
+TEST_F(PipelineReplayTest, RejectsZeroDepth) {
+  StorageServer backend(n_, block_size_);
+  EXPECT_EQ(RunExchangePipeline(&backend, plan_, 0).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ExchangePlanTest, RebuildsPerQueryBatchedShape) {
+  StorageServer server(16, 8);
+  server.BeginQuery();
+  ASSERT_TRUE(server.DownloadMany({1, 2, 3}).ok());
+  ASSERT_TRUE(server.Upload(2, ZeroBlock(8)).ok());
+  server.BeginQuery();
+  ASSERT_TRUE(server.Download(9).ok());
+
+  std::vector<StorageRequest> plan =
+      ExchangePlanFromTranscript(server.transcript(), 8);
+  ASSERT_EQ(plan.size(), 3u);  // q0: download + upload, q1: download
+  EXPECT_EQ(plan[0].op, StorageRequest::Op::kDownload);
+  EXPECT_EQ(plan[0].indices, (std::vector<BlockId>{1, 2, 3}));
+  EXPECT_EQ(plan[1].op, StorageRequest::Op::kUpload);
+  EXPECT_EQ(plan[1].indices, (std::vector<BlockId>{2}));
+  EXPECT_EQ(plan[2].indices, (std::vector<BlockId>{9}));
+
+  // Replaying the plan reproduces the transcript's tallies exactly.
+  StorageServer replay(16, 8);
+  auto report = RunExchangePipeline(&replay, plan, 4);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->transport.blocks_moved,
+            server.transcript().TotalBlocksMoved());
+  EXPECT_EQ(report->transport.roundtrips, server.roundtrip_count());
 }
 
 }  // namespace
