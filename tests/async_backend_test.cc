@@ -1,23 +1,32 @@
-// Tests for the threaded sharded backend and the pipelined exchange
-// surface: async-vs-sync transcript equivalence across shard counts,
-// bit-identical scheme results and TransportStats on every registered
-// scheme, exchange atomicity under injected faults, and pipeline-depth
-// invariance of replayed data.
+// The registry's "sharded" backend as an asynchronous exchange backend: a
+// ClusterBackend of `shards` single-slot ranges over in-memory
+// StorageServer legs. Covers routing across shard counts (K | n, K not
+// dividing n, K > n), request order with duplicates on both the
+// whole-batch forwarding path and the reassembling path, many exchanges
+// submitted before any is waited on, faults rolled once per exchange at
+// Submit, counting-only transcripts reaching every leg, and the in-process
+// proof that every RAM and KVS scheme on "sharded" answers bit-identically
+// to "memory" with equal aggregate transport.
+
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "analysis/driver.h"
 #include "analysis/workload.h"
 #include "core/scheme_registry.h"
-#include "storage/async_sharded_backend.h"
-#include "storage/server.h"
-#include "storage/sharded_backend.h"
+#include "storage/block.h"
+#include "storage/cluster.h"
+#include "util/random.h"
 
 namespace dpstore {
 namespace {
+
+constexpr uint64_t kN = 64;
+constexpr size_t kBlockSize = 32;
 
 std::vector<Block> MakeDatabase(uint64_t n, size_t block_size) {
   std::vector<Block> db(n);
@@ -25,86 +34,162 @@ std::vector<Block> MakeDatabase(uint64_t n, size_t block_size) {
   return db;
 }
 
-// --- Async vs sync equivalence ----------------------------------------------
+// --- Routing and exchanges ---------------------------------------------------
 
-TEST(AsyncShardedBackendTest, MatchesSyncShardedAcrossShardCounts) {
-  constexpr uint64_t kN = 10;
-  // Includes the non-divisible cases (3, 7) and K > n (13).
+/// The registry's "sharded" backend: a ClusterBackend over `shards`
+/// single-slot ranges with in-memory legs. Null (after a test failure) if
+/// the registry refuses the config.
+std::unique_ptr<ClusterBackend> MakeSharded(uint64_t n, size_t block_size,
+                                            uint64_t shards,
+                                            bool counting_only = false) {
+  SchemeConfig config;
+  config.backend = "sharded";
+  config.shards = shards;
+  config.counting_only_transcript = counting_only;
+  auto factory = BackendFactoryFor(config);
+  EXPECT_TRUE(factory.ok()) << factory.status();
+  if (!factory.ok()) return nullptr;
+  std::unique_ptr<StorageBackend> backend = (*factory)(n, block_size);
+  auto* cluster = dynamic_cast<ClusterBackend*>(backend.get());
+  EXPECT_NE(cluster, nullptr);
+  if (cluster == nullptr) return nullptr;
+  backend.release();
+  return std::unique_ptr<ClusterBackend>(cluster);
+}
+
+TEST(ShardedRoutingTest, RoutesEveryAddressAcrossShardCounts) {
+  constexpr uint64_t n = 10;
+  // Includes the non-divisible cases (3, 4, 7) and K > n (13).
   for (uint64_t shards : {1u, 2u, 3u, 4u, 7u, 10u, 13u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    ShardedBackend sync(kN, 8, shards);
-    AsyncShardedBackend async(kN, 8, shards);
-    ASSERT_TRUE(sync.SetArray(MakeDatabase(kN, 8)).ok());
-    ASSERT_TRUE(async.SetArray(MakeDatabase(kN, 8)).ok());
-    ASSERT_EQ(async.num_shards(), shards);
-
-    // The same mixed operation sequence through the classic narrow calls
-    // (each is Submit immediately followed by Wait).
-    for (StorageBackend* backend : {static_cast<StorageBackend*>(&sync),
-                                    static_cast<StorageBackend*>(&async)}) {
-      backend->BeginQuery();
-      ASSERT_TRUE(backend->Upload(3, MarkerBlock(103, 8)).ok());
-      auto spanning = backend->DownloadMany({9, 0, 4, 3, 0, 8, 2});
-      ASSERT_TRUE(spanning.ok());
-      backend->BeginQuery();
-      ASSERT_TRUE(
-          backend
-              ->UploadMany({7, 1, 9},
-                           {MarkerBlock(57, 8), MarkerBlock(51, 8),
-                            MarkerBlock(59, 8)})
-              .ok());
-      ASSERT_TRUE(backend->Download(7).ok());
+    std::unique_ptr<ClusterBackend> backend = MakeSharded(n, 8, shards);
+    ASSERT_NE(backend, nullptr);
+    EXPECT_EQ(backend->n(), n);
+    ASSERT_EQ(backend->config().ranges().size(), shards);
+    for (BlockId i = 0; i < n; ++i) {
+      ASSERT_TRUE(backend->Upload(i, MarkerBlock(i, 8)).ok());
     }
-
-    // Bit-identical storage, event-identical global transcripts.
-    for (BlockId i = 0; i < kN; ++i) {
-      EXPECT_EQ(async.PeekBlock(i), sync.PeekBlock(i)) << i;
+    // The ranges tile [0, n): legs hold exactly n blocks between them, and
+    // the trailing ranges of a K > n partition hold none (and no leg).
+    uint64_t total_held = 0;
+    for (size_t r = 0; r < shards; ++r) {
+      auto [lo, hi] = backend->RangeBlocks(r);
+      StorageBackend* leg = backend->leg(r);
+      EXPECT_EQ(leg == nullptr ? 0 : leg->n(), hi - lo) << "range " << r;
+      total_held += hi - lo;
     }
-    EXPECT_EQ(async.transcript().events(), sync.transcript().events());
-    EXPECT_EQ(async.transcript().ToString(), sync.transcript().ToString());
-    EXPECT_EQ(async.roundtrip_count(), sync.roundtrip_count());
-    EXPECT_EQ(async.Stats(), sync.Stats());
-    // And per-shard local views agree leg for leg.
-    for (uint64_t s = 0; s < shards; ++s) {
-      EXPECT_EQ(async.shard(s).transcript().events(),
-                sync.shard(s).transcript().events())
-          << "shard " << s;
+    EXPECT_EQ(total_held, n);
+    for (BlockId i = 0; i < n; ++i) {
+      auto got = backend->Download(i);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_TRUE(IsMarkerBlock(*got, i)) << "i=" << i;
+      EXPECT_TRUE(IsMarkerBlock(backend->PeekBlock(i), i));
     }
+    EXPECT_EQ(backend->Download(n).status().code(), StatusCode::kOutOfRange);
   }
 }
 
-TEST(AsyncShardedBackendTest, DownloadResultsMatchRequestOrderWithDupes) {
-  constexpr uint64_t kN = 12;
-  AsyncShardedBackend backend(kN, 8, 5);
-  ASSERT_TRUE(backend.SetArray(MakeDatabase(kN, 8)).ok());
-  const std::vector<BlockId> indices = {11, 0, 5, 5, 3, 11, 7};
-  auto got = backend.DownloadMany(indices);
-  ASSERT_TRUE(got.ok());
-  ASSERT_EQ(got->size(), indices.size());
-  for (size_t i = 0; i < indices.size(); ++i) {
-    EXPECT_TRUE(IsMarkerBlock((*got)[i], indices[i])) << i;
+TEST(ShardedRoutingTest, SetArraySplitsAcrossShards) {
+  constexpr uint64_t n = 7;
+  std::unique_ptr<ClusterBackend> backend = MakeSharded(n, 8, 3);
+  ASSERT_NE(backend, nullptr);
+  ASSERT_TRUE(backend->SetArray(MakeDatabase(n, 8)).ok());
+  EXPECT_EQ(backend->leg(0)->n(), 3u);  // ranges hold 3, 3, 1
+  EXPECT_EQ(backend->leg(2)->n(), 1u);
+  for (BlockId i = 0; i < n; ++i) {
+    EXPECT_TRUE(IsMarkerBlock(backend->PeekBlock(i), i));
   }
-  EXPECT_EQ(backend.roundtrip_count(), 1u);
+  // Setup is not part of the adversary's view.
+  EXPECT_EQ(backend->transcript().TotalBlocksMoved(), 0u);
+  EXPECT_EQ(backend->SetArray(MakeDatabase(n - 1, 8)).code(),
+            StatusCode::kInvalidArgument);
 }
 
-// --- Overlapped exchanges ----------------------------------------------------
+TEST(ShardedRoutingTest, BatchedSpanningShardsMatchesSequential) {
+  constexpr uint64_t n = 10;
+  std::unique_ptr<ClusterBackend> batched = MakeSharded(n, 8, 3);
+  std::unique_ptr<ClusterBackend> sequential = MakeSharded(n, 8, 3);
+  ASSERT_NE(batched, nullptr);
+  ASSERT_NE(sequential, nullptr);
+  ASSERT_TRUE(batched->SetArray(MakeDatabase(n, 8)).ok());
+  ASSERT_TRUE(sequential->SetArray(MakeDatabase(n, 8)).ok());
 
-TEST(AsyncShardedBackendTest, ManyExchangesInFlightResolveCorrectly) {
-  constexpr uint64_t kN = 64;
-  AsyncShardedBackend backend(kN, 8, 4);
-  ASSERT_TRUE(backend.SetArray(MakeDatabase(kN, 8)).ok());
+  // Spans all three shards, out of order, with duplicates.
+  const std::vector<BlockId> indices = {9, 0, 4, 5, 0, 8, 2};
+  batched->BeginQuery();
+  sequential->BeginQuery();
+  auto many = batched->DownloadMany(indices);
+  ASSERT_TRUE(many.ok());
+  std::vector<Block> singles;
+  for (BlockId index : indices) {
+    auto one = sequential->Download(index);
+    ASSERT_TRUE(one.ok());
+    singles.push_back(*one);
+  }
+  EXPECT_EQ(*many, singles);
+  // The top-level transcript records global addresses in request order.
+  EXPECT_EQ(batched->transcript().events(), sequential->transcript().events());
+  // Batched fan-out is ONE roundtrip regardless of shards touched.
+  EXPECT_EQ(batched->roundtrip_count(), 1u);
+  EXPECT_EQ(sequential->roundtrip_count(), indices.size());
+}
+
+TEST(ShardedRoutingTest, BatchedUploadRoutesAndRecords) {
+  constexpr uint64_t n = 10;
+  std::unique_ptr<ClusterBackend> backend = MakeSharded(n, 8, 4);
+  ASSERT_NE(backend, nullptr);
+  const std::vector<BlockId> indices = {7, 1, 9};
+  std::vector<Block> blocks;
+  for (BlockId index : indices) blocks.push_back(MarkerBlock(50 + index, 8));
+  backend->BeginQuery();
+  ASSERT_TRUE(backend->UploadMany(indices, std::move(blocks)).ok());
+  for (BlockId index : indices) {
+    EXPECT_TRUE(IsMarkerBlock(backend->PeekBlock(index), 50 + index));
+  }
+  EXPECT_EQ(backend->upload_count(), indices.size());
+  EXPECT_EQ(backend->roundtrip_count(), 0u);
+}
+
+/// Whole-batch exchanges on one shard forward their leg's reply buffer;
+/// every other shape reassembles. Both must answer in request order.
+TEST(ShardedRoutingTest, DownloadResultsMatchRequestOrderWithDupes) {
+  constexpr uint64_t n = 12;
+  for (uint64_t shards : {1u, 5u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    std::unique_ptr<ClusterBackend> backend = MakeSharded(n, 8, shards);
+    ASSERT_NE(backend, nullptr);
+    ASSERT_TRUE(backend->SetArray(MakeDatabase(n, 8)).ok());
+    // Spanning (5 shards) and whole-batch on shard 0 (both topologies).
+    for (const std::vector<BlockId>& indices :
+         {std::vector<BlockId>{11, 0, 5, 5, 3, 11, 7},
+          std::vector<BlockId>{2, 0, 2, 1}}) {
+      auto got = backend->DownloadMany(indices);
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got->size(), indices.size());
+      for (size_t i = 0; i < indices.size(); ++i) {
+        EXPECT_TRUE(IsMarkerBlock((*got)[i], indices[i])) << i;
+      }
+    }
+    EXPECT_EQ(backend->roundtrip_count(), 2u);
+  }
+}
+
+TEST(ShardedRoutingTest, ManyExchangesInFlightResolveCorrectly) {
+  constexpr uint64_t n = 64;
+  std::unique_ptr<ClusterBackend> backend = MakeSharded(n, 8, 4);
+  ASSERT_NE(backend, nullptr);
+  ASSERT_TRUE(backend->SetArray(MakeDatabase(n, 8)).ok());
 
   // Submit 32 download exchanges before waiting on any.
   std::vector<Ticket> tickets;
   std::vector<std::vector<BlockId>> wanted;
   for (uint64_t q = 0; q < 32; ++q) {
-    std::vector<BlockId> indices = {q % kN, (3 * q + 1) % kN, (7 * q) % kN};
-    tickets.push_back(
-        backend.Submit(StorageRequest::DownloadOf(indices)));
+    std::vector<BlockId> indices = {q % n, (3 * q + 1) % n, (7 * q) % n};
+    tickets.push_back(backend->Submit(StorageRequest::DownloadOf(indices)));
     wanted.push_back(std::move(indices));
   }
   for (size_t q = 0; q < tickets.size(); ++q) {
-    auto reply = backend.Wait(tickets[q]);
+    auto reply = backend->Wait(tickets[q]);
     ASSERT_TRUE(reply.ok()) << q;
     ASSERT_EQ(reply->blocks.size(), wanted[q].size());
     for (size_t i = 0; i < wanted[q].size(); ++i) {
@@ -112,244 +197,172 @@ TEST(AsyncShardedBackendTest, ManyExchangesInFlightResolveCorrectly) {
     }
   }
   // 32 exchanges, one roundtrip each, all events recorded.
-  EXPECT_EQ(backend.roundtrip_count(), 32u);
-  EXPECT_EQ(backend.download_count(), 96u);
+  EXPECT_EQ(backend->roundtrip_count(), 32u);
+  EXPECT_EQ(backend->download_count(), 96u);
 }
 
-TEST(AsyncShardedBackendTest, TicketsAreSingleUse) {
-  AsyncShardedBackend backend(8, 8, 2);
-  Ticket t = backend.Submit(StorageRequest::DownloadOf({1}));
-  ASSERT_TRUE(backend.Wait(t).ok());
-  EXPECT_EQ(backend.Wait(t).status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(backend.Wait(9999).status().code(), StatusCode::kInvalidArgument);
+TEST(ShardedRoutingTest, CorruptRoutesToShards) {
+  std::unique_ptr<ClusterBackend> backend = MakeSharded(6, 8, 2);
+  ASSERT_NE(backend, nullptr);
+  ASSERT_TRUE(backend->SetArray(MakeDatabase(6, 8)).ok());
+  backend->CorruptBlock(5);
+  EXPECT_FALSE(IsMarkerBlock(backend->PeekBlock(5), 5));
+  EXPECT_TRUE(IsMarkerBlock(backend->PeekBlock(4), 4));
 }
 
-// --- Fault atomicity ---------------------------------------------------------
-
-TEST(AsyncShardedBackendTest, InjectedFaultsFailSpanningExchangesAtomically) {
-  constexpr uint64_t kN = 6;
-  AsyncShardedBackend backend(kN, 8, 2);
-  ASSERT_TRUE(backend.SetArray(MakeDatabase(kN, 8)).ok());
-  backend.SetFailureRate(1.0);
-  EXPECT_EQ(backend.Download(0).status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(backend.DownloadMany({0, 5}).status().code(),
+TEST(ShardedRoutingTest, InjectedFaultsFailSpanningBatchesAtomically) {
+  constexpr uint64_t n = 6;
+  std::unique_ptr<ClusterBackend> backend = MakeSharded(n, 8, 2);
+  ASSERT_NE(backend, nullptr);
+  ASSERT_TRUE(backend->SetArray(MakeDatabase(n, 8)).ok());
+  backend->SetFailureRate(1.0);
+  EXPECT_EQ(backend->Download(0).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(backend->DownloadMany({0, 5}).status().code(),
             StatusCode::kUnavailable);
-  // A failed spanning write-back must leave EVERY shard untouched: the
-  // fault is rolled once per exchange at Submit, never mid-fan-out.
-  EXPECT_EQ(backend.UploadMany({0, 5}, {ZeroBlock(8), ZeroBlock(8)}).code(),
+  // A failed spanning write-back must leave EVERY shard untouched: faults
+  // are rolled once per exchange at Submit, never mid-fan-out.
+  EXPECT_EQ(backend->UploadMany({0, 5}, {ZeroBlock(8), ZeroBlock(8)}).code(),
             StatusCode::kUnavailable);
-  for (BlockId i = 0; i < kN; ++i) {
-    EXPECT_TRUE(IsMarkerBlock(backend.PeekBlock(i), i)) << i;
+  for (BlockId i = 0; i < n; ++i) {
+    EXPECT_TRUE(IsMarkerBlock(backend->PeekBlock(i), i)) << i;
   }
-  EXPECT_EQ(backend.transcript().TotalBlocksMoved(), 0u);
-  backend.SetFailureRate(0.0);
-  EXPECT_TRUE(backend.Download(0).ok());
+  EXPECT_EQ(backend->transcript().TotalBlocksMoved(), 0u);
+  // An injected fault is not a dead node.
+  EXPECT_EQ(backend->failovers(), 0u);
+  backend->SetFailureRate(0.0);
+  EXPECT_TRUE(backend->Download(0).ok());
 }
 
-TEST(AsyncShardedBackendTest, ValidationErrorsSurfaceAtWait) {
-  AsyncShardedBackend backend(4, 8, 2);
-  Ticket bad_index = backend.Submit(StorageRequest::DownloadOf({0, 9}));
-  EXPECT_EQ(backend.Wait(bad_index).status().code(), StatusCode::kOutOfRange);
-  Ticket bad_size =
-      backend.Submit(StorageRequest::UploadOf({0}, {ZeroBlock(7)}));
-  EXPECT_EQ(backend.Wait(bad_size).status().code(),
+TEST(ShardedRoutingTest, CountingOnlyPropagatesToShards) {
+  // Switched on after construction, and born counting-only via the
+  // registry's counting_only_transcript.
+  for (bool born_counting : {false, true}) {
+    SCOPED_TRACE(born_counting ? "born counting-only" : "switched");
+    std::unique_ptr<ClusterBackend> backend =
+        MakeSharded(6, 8, 2, born_counting);
+    ASSERT_NE(backend, nullptr);
+    if (!born_counting) backend->SetTranscriptCountingOnly(true);
+    backend->BeginQuery();
+    ASSERT_TRUE(backend->DownloadMany({0, 5}).ok());
+    EXPECT_TRUE(backend->transcript().events().empty());
+    EXPECT_TRUE(backend->leg(0)->transcript().events().empty());
+    EXPECT_TRUE(backend->leg(1)->transcript().events().empty());
+    EXPECT_EQ(backend->download_count(), 2u);
+    EXPECT_EQ(backend->leg(0)->download_count(), 1u);
+    EXPECT_EQ(backend->leg(1)->download_count(), 1u);
+  }
+}
+
+TEST(ShardedRoutingTest, RegistryRejectsZeroShards) {
+  SchemeConfig config;
+  config.backend = "sharded";
+  config.shards = 0;
+  EXPECT_EQ(BackendFactoryFor(config).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(backend.transcript().TotalBlocksMoved(), 0u);
 }
 
-// --- Scheme-level equivalence (the api_redesign acceptance bar) -------------
+// --- sharded == memory, every scheme, in-process -----------------------------
 
-TEST(AsyncBackendSchemeTest, EveryRamSchemeBitIdenticalToSyncSharded) {
-  constexpr uint64_t kN = 64;
-  for (uint64_t shards : {1u, 3u, 4u}) {
+/// The shard counts the in-process equivalence covers: K = 1 (the
+/// whole-batch forwarding path), K | n, K not dividing n, and K > n for the
+/// schemes' smaller auxiliary arenas.
+constexpr uint64_t kShardCounts[] = {1, 3, 4, 7, 13};
+
+SchemeConfig ShardedConfig(uint64_t seed, uint64_t shards) {
+  SchemeConfig config;
+  config.n = kN;
+  config.value_size = kBlockSize;
+  config.seed = seed;
+  config.shards = shards;
+  return config;
+}
+
+/// Every RAM scheme on "sharded" answers bit-identically to the same
+/// scheme on "memory" (schemes draw their coins from the seed, never from
+/// the backend), with equal aggregate transport.
+TEST(ShardedEquivalenceTest, EveryRamSchemeMatchesMemory) {
+  for (uint64_t shards : kShardCounts) {
     for (const std::string& name :
          SchemeRegistry::Instance().RamSchemeNames()) {
       SCOPED_TRACE(name + " shards=" + std::to_string(shards));
-      SchemeConfig config;
-      config.n = kN;
-      config.value_size = 32;
-      config.seed = 20260728;
-      config.shards = shards;
-
+      SchemeConfig config = ShardedConfig(20260728, shards);
+      auto memory = SchemeRegistry::Instance().MakeRam(name, config);
+      ASSERT_TRUE(memory.ok()) << memory.status();
       config.backend = "sharded";
-      auto sync = SchemeRegistry::Instance().MakeRam(name, config);
-      ASSERT_TRUE(sync.ok()) << sync.status();
-      config.backend = "async_sharded";
-      auto async = SchemeRegistry::Instance().MakeRam(name, config);
-      ASSERT_TRUE(async.ok()) << async.status();
+      auto sharded = SchemeRegistry::Instance().MakeRam(name, config);
+      ASSERT_TRUE(sharded.ok()) << sharded.status();
 
-      // Same mixed workload against both instances: every reply must be
-      // bit-identical (schemes draw their coins from the seed, never from
-      // the backend), and the aggregate transport must match exactly.
       Rng workload_rng(7);
       auto workload = MakeRamWorkload("zipf:0.99", &workload_rng, kN, 20,
                                       /*write_fraction=*/0.25);
       ASSERT_TRUE(workload.ok());
       for (const RamQuery& query : *workload) {
-        if (query.is_write && (*sync)->SupportsWrite()) {
-          Block value = MarkerBlock(1000 + query.index, 32);
-          ASSERT_TRUE((*sync)->QueryWrite(query.index, value).ok());
-          ASSERT_TRUE((*async)->QueryWrite(query.index, value).ok());
+        if (query.is_write && (*memory)->SupportsWrite()) {
+          Block value = MarkerBlock(1000 + query.index, kBlockSize);
+          ASSERT_TRUE((*memory)->QueryWrite(query.index, value).ok());
+          ASSERT_TRUE((*sharded)->QueryWrite(query.index, value).ok());
           continue;
         }
-        auto sync_got = (*sync)->QueryRead(query.index);
-        auto async_got = (*async)->QueryRead(query.index);
-        ASSERT_TRUE(sync_got.ok()) << sync_got.status();
-        ASSERT_TRUE(async_got.ok()) << async_got.status();
-        ASSERT_EQ(sync_got->has_value(), async_got->has_value());
-        if (sync_got->has_value()) {
-          EXPECT_EQ(**sync_got, **async_got);
+        auto want = (*memory)->QueryRead(query.index);
+        auto got = (*sharded)->QueryRead(query.index);
+        ASSERT_TRUE(want.ok()) << want.status();
+        ASSERT_TRUE(got.ok()) << got.status();
+        ASSERT_EQ(want->has_value(), got->has_value());
+        if (want->has_value()) {
+          EXPECT_EQ(**want, **got);
         }
       }
-      EXPECT_EQ((*sync)->TransportTotals(), (*async)->TransportTotals());
+      EXPECT_TRUE((*memory)->TransportTotals() ==
+                  (*sharded)->TransportTotals());
     }
   }
 }
 
-TEST(AsyncBackendSchemeTest, EveryKvsSchemeBitIdenticalToSyncSharded) {
-  for (const std::string& name : SchemeRegistry::Instance().KvsSchemeNames()) {
-    SCOPED_TRACE(name);
-    SchemeConfig config;
-    config.n = 64;
-    config.value_size = 32;
-    config.seed = 99;
-    config.shards = 3;
-    config.backend = "sharded";
-    auto sync = SchemeRegistry::Instance().MakeKvs(name, config);
-    ASSERT_TRUE(sync.ok());
-    config.backend = "async_sharded";
-    auto async = SchemeRegistry::Instance().MakeKvs(name, config);
-    ASSERT_TRUE(async.ok());
+TEST(ShardedEquivalenceTest, EveryKvsSchemeMatchesMemory) {
+  for (uint64_t shards : kShardCounts) {
+    for (const std::string& name :
+         SchemeRegistry::Instance().KvsSchemeNames()) {
+      SCOPED_TRACE(name + " shards=" + std::to_string(shards));
+      SchemeConfig config = ShardedConfig(99, shards);
+      auto memory = SchemeRegistry::Instance().MakeKvs(name, config);
+      ASSERT_TRUE(memory.ok()) << memory.status();
+      config.backend = "sharded";
+      auto sharded = SchemeRegistry::Instance().MakeKvs(name, config);
+      ASSERT_TRUE(sharded.ok()) << sharded.status();
 
-    Rng rng(5);
-    KvsSequence ops = YcsbKvsSequence(&rng, 32, 40, /*read_fraction=*/0.5,
-                                      /*zipf_s=*/0.99);
-    for (const KvsOp& op : ops) {
-      switch (op.type) {
-        case KvsOp::Type::kGet: {
-          auto a = (*sync)->Get(op.key);
-          auto b = (*async)->Get(op.key);
-          ASSERT_TRUE(a.ok() && b.ok());
-          ASSERT_EQ(a->has_value(), b->has_value());
-          if (a->has_value()) {
-            EXPECT_EQ(**a, **b);
+      Rng rng(5);
+      KvsSequence ops = YcsbKvsSequence(&rng, 32, 40, /*read_fraction=*/0.5,
+                                        /*zipf_s=*/0.99);
+      for (const KvsOp& op : ops) {
+        switch (op.type) {
+          case KvsOp::Type::kGet: {
+            auto want = (*memory)->Get(op.key);
+            auto got = (*sharded)->Get(op.key);
+            ASSERT_TRUE(want.ok() && got.ok());
+            ASSERT_EQ(want->has_value(), got->has_value());
+            if (want->has_value()) {
+              EXPECT_EQ(**want, **got);
+            }
+            break;
           }
-          break;
-        }
-        case KvsOp::Type::kPut: {
-          KvsScheme::Value value = MarkerBlock(op.key, 32);
-          ASSERT_TRUE((*sync)->Put(op.key, value).ok());
-          ASSERT_TRUE((*async)->Put(op.key, value).ok());
-          break;
-        }
-        case KvsOp::Type::kErase:
-          if ((*sync)->SupportsErase()) {
-            ASSERT_TRUE((*sync)->Erase(op.key).ok());
-            ASSERT_TRUE((*async)->Erase(op.key).ok());
+          case KvsOp::Type::kPut: {
+            KvsScheme::Value value = MarkerBlock(op.key, kBlockSize);
+            ASSERT_TRUE((*memory)->Put(op.key, value).ok());
+            ASSERT_TRUE((*sharded)->Put(op.key, value).ok());
+            break;
           }
-          break;
+          case KvsOp::Type::kErase:
+            if ((*memory)->SupportsErase()) {
+              ASSERT_TRUE((*memory)->Erase(op.key).ok());
+              ASSERT_TRUE((*sharded)->Erase(op.key).ok());
+            }
+            break;
+        }
       }
-    }
-    EXPECT_EQ((*sync)->TransportTotals(), (*async)->TransportTotals());
-  }
-}
-
-// --- Pipelined replay --------------------------------------------------------
-
-class PipelineReplayTest : public ::testing::Test {
- protected:
-  // Records a real scheme transcript by interposing the backend factory:
-  // the first backend a Path ORAM builds is its main tree.
-  void SetUp() override {
-    SchemeConfig config;
-    config.n = 128;
-    config.value_size = 32;
-    config.seed = 11;
-    std::vector<StorageBackend*> observed;
-    config.backend_factory = [&observed](uint64_t n, size_t block_size) {
-      auto backend = std::make_unique<StorageServer>(n, block_size);
-      observed.push_back(backend.get());
-      return backend;
-    };
-    auto scheme = SchemeRegistry::Instance().MakeRam("path_oram", config);
-    ASSERT_TRUE(scheme.ok());
-    Rng rng(3);
-    auto workload = MakeRamWorkload("uniform", &rng, config.n, 24,
-                                    /*write_fraction=*/0.25);
-    ASSERT_TRUE(workload.ok());
-    ASSERT_TRUE(RunRamWorkload(scheme->get(), *workload).ok());
-    ASSERT_FALSE(observed.empty());
-    main_tree_ = observed[0];
-    plan_ = ExchangePlanFromTranscript(main_tree_->transcript(),
-                                       main_tree_->block_size());
-    ASSERT_FALSE(plan_.empty());
-    n_ = main_tree_->n();
-    block_size_ = main_tree_->block_size();
-    // Keep the scheme alive until the plan is copied out.
-    scheme_ = std::move(*scheme);
-  }
-
-  std::unique_ptr<RamScheme> scheme_;
-  StorageBackend* main_tree_ = nullptr;
-  std::vector<StorageRequest> plan_;
-  uint64_t n_ = 0;
-  size_t block_size_ = 0;
-};
-
-TEST_F(PipelineReplayTest, DepthAndBackendInvariantReplay) {
-  // Reference: the synchronous sharded backend at depth 1.
-  ShardedBackend reference(n_, block_size_, 3);
-  auto ref_report = RunExchangePipeline(&reference, plan_, 1);
-  ASSERT_TRUE(ref_report.ok());
-  EXPECT_EQ(ref_report->exchanges, plan_.size());
-  EXPECT_GT(ref_report->transport.roundtrips, 0u);
-
-  for (uint64_t shards : {1u, 3u, 4u}) {
-    for (uint64_t depth : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   " depth=" + std::to_string(depth));
-      AsyncShardedBackend backend(n_, block_size_, shards);
-      auto report = RunExchangePipeline(&backend, plan_, depth);
-      ASSERT_TRUE(report.ok()) << report.status();
-      // Pipeline depth moves wall-clock only: the replayed data and the
-      // transport axes are bit-for-bit depth- and topology-invariant.
-      EXPECT_EQ(report->reply_hash, ref_report->reply_hash);
-      EXPECT_EQ(report->transport, ref_report->transport);
-      EXPECT_EQ(report->exchanges, ref_report->exchanges);
+      EXPECT_TRUE((*memory)->TransportTotals() ==
+                  (*sharded)->TransportTotals());
     }
   }
-}
-
-TEST_F(PipelineReplayTest, RejectsZeroDepth) {
-  StorageServer backend(n_, block_size_);
-  EXPECT_EQ(RunExchangePipeline(&backend, plan_, 0).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(ExchangePlanTest, RebuildsPerQueryBatchedShape) {
-  StorageServer server(16, 8);
-  server.BeginQuery();
-  ASSERT_TRUE(server.DownloadMany({1, 2, 3}).ok());
-  ASSERT_TRUE(server.Upload(2, ZeroBlock(8)).ok());
-  server.BeginQuery();
-  ASSERT_TRUE(server.Download(9).ok());
-
-  std::vector<StorageRequest> plan =
-      ExchangePlanFromTranscript(server.transcript(), 8);
-  ASSERT_EQ(plan.size(), 3u);  // q0: download + upload, q1: download
-  EXPECT_EQ(plan[0].op, StorageRequest::Op::kDownload);
-  EXPECT_EQ(plan[0].indices, (std::vector<BlockId>{1, 2, 3}));
-  EXPECT_EQ(plan[1].op, StorageRequest::Op::kUpload);
-  EXPECT_EQ(plan[1].indices, (std::vector<BlockId>{2}));
-  EXPECT_EQ(plan[2].indices, (std::vector<BlockId>{9}));
-
-  // Replaying the plan reproduces the transcript's tallies exactly.
-  StorageServer replay(16, 8);
-  auto report = RunExchangePipeline(&replay, plan, 4);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->transport.blocks_moved,
-            server.transcript().TotalBlocksMoved());
-  EXPECT_EQ(report->transport.roundtrips, server.roundtrip_count());
 }
 
 }  // namespace
