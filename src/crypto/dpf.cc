@@ -1,7 +1,7 @@
 #include "crypto/dpf.h"
 
+#include <algorithm>
 #include <cstring>
-#include <string>
 
 #include "crypto/chacha20.h"
 #include "crypto/prg.h"
@@ -11,6 +11,7 @@ namespace crypto {
 namespace {
 
 using Seed = std::array<uint8_t, kDpfSeedSize>;
+using LeafWord = std::array<uint8_t, kDpfLeafBytes>;
 
 /// One GGM node: a seed and its control bit.
 struct Node {
@@ -18,51 +19,84 @@ struct Node {
   uint8_t t = 0;
 };
 
-/// Both children of one expanded node.
-struct Children {
-  Seed left{};
-  Seed right{};
-  uint8_t t_left = 0;
-  uint8_t t_right = 0;
-};
+/// Both children of one expanded node: [0] left, [1] right.
+using Children = std::array<Node, 2>;
 
-/// The length-doubling PRG: one ChaCha20 block keyed by the node seed
-/// (zero-padded to the 32-byte cipher key), fixed nonce, counter 0.
-Children Expand(const Seed& seed) {
+/// One ChaCha20 block keyed by `seed` (zero-padded to the 32-byte cipher
+/// key) under the all-zero nonce; the seed is fresh per node.
+void SeedBlock(const Seed& seed, uint32_t counter,
+               uint8_t block[kChaChaBlockSize]) {
   ChaChaKey key{};
   std::memcpy(key.data(), seed.data(), kDpfSeedSize);
-  ChaChaNonce nonce{};  // all-zero: the seed is fresh per node
+  ChaCha20Block(key, ChaChaNonce{}, counter, block);
+}
+
+/// The length-doubling PRG of inner nodes (counter 0).
+Children Expand(const Seed& seed) {
   uint8_t block[kChaChaBlockSize];
-  ChaCha20Block(key, nonce, 0, block);
+  SeedBlock(seed, /*counter=*/0, block);
   Children c;
-  std::memcpy(c.left.data(), block, kDpfSeedSize);
-  std::memcpy(c.right.data(), block + kDpfSeedSize, kDpfSeedSize);
-  c.t_left = block[2 * kDpfSeedSize] & 1;
-  c.t_right = block[2 * kDpfSeedSize + 1] & 1;
+  std::memcpy(c[0].s.data(), block, kDpfSeedSize);
+  std::memcpy(c[1].s.data(), block + kDpfSeedSize, kDpfSeedSize);
+  c[0].t = block[2 * kDpfSeedSize] & 1;
+  c[1].t = block[2 * kDpfSeedSize + 1] & 1;
   return c;
 }
 
-inline void XorSeed(Seed& dst, const Seed& src) {
-  for (size_t i = 0; i < kDpfSeedSize; ++i) {
+/// The output PRG of leaves (counter 1): 512 leaf bits.
+LeafWord Convert(const Seed& seed) {
+  LeafWord word;
+  SeedBlock(seed, /*counter=*/1, word.data());
+  return word;
+}
+
+template <size_t N>
+inline void XorInto(std::array<uint8_t, N>& dst,
+                    const std::array<uint8_t, N>& src) {
+  for (size_t i = 0; i < N; ++i) {
     dst[i] = static_cast<uint8_t>(dst[i] ^ src[i]);
   }
 }
 
-/// Expands `node` one level down with correction word `cw`, returning
-/// (left child, right child) as full Nodes.
-inline void Step(const Node& node, const DpfKey::CorrectionWord& cw,
-                 Node* left, Node* right) {
+/// Applies correction word `cw` to the children of a node whose control
+/// bit is `t` (a no-op when t = 0).
+inline void Correct(Children& c, uint8_t t, const DpfKey::CorrectionWord& cw) {
+  if (!t) return;
+  XorInto(c[0].s, cw.seed);
+  XorInto(c[1].s, cw.seed);
+  c[0].t = static_cast<uint8_t>(c[0].t ^ cw.t_left);
+  c[1].t = static_cast<uint8_t>(c[1].t ^ cw.t_right);
+}
+
+/// Expands `node` one level down under correction word `cw`.
+inline Children Step(const Node& node, const DpfKey::CorrectionWord& cw) {
   Children c = Expand(node.s);
-  if (node.t) {
-    XorSeed(c.left, cw.seed);
-    XorSeed(c.right, cw.seed);
-    c.t_left = static_cast<uint8_t>(c.t_left ^ cw.t_left);
-    c.t_right = static_cast<uint8_t>(c.t_right ^ cw.t_right);
+  Correct(c, node.t, cw);
+  return c;
+}
+
+/// Expands every node of one tree level under correction word `cw`.
+void ExpandLevel(const std::vector<Node>& level,
+                 const DpfKey::CorrectionWord& cw, std::vector<Node>& next) {
+  next.resize(level.size() * 2);
+  for (size_t j = 0; j < level.size(); ++j) {
+    const Children c = Step(level[j], cw);
+    next[2 * j] = c[0];
+    next[2 * j + 1] = c[1];
   }
-  left->s = c.left;
-  left->t = c.t_left;
-  right->s = c.right;
-  right->t = c.t_right;
+}
+
+/// A leaf's share of the output: Convert(s) XOR t * CW_out.
+LeafWord LeafShare(const Node& leaf, const LeafWord& cw_out) {
+  LeafWord word = Convert(leaf.s);
+  if (leaf.t) XorInto(word, cw_out);
+  return word;
+}
+
+inline uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
+  return v;
 }
 
 Seed RandomSeed() {
@@ -75,8 +109,8 @@ Status CheckKey(const DpfKey& key) {
   if (key.depth < 1 || key.depth > kMaxDpfDepth) {
     return InvalidArgumentError("dpf: depth out of range");
   }
-  if (key.cw.size() != key.depth) {
-    return InvalidArgumentError("dpf: correction word count != depth");
+  if (key.cw.size() != DpfTreeLevels(key.depth)) {
+    return InvalidArgumentError("dpf: correction word count != tree levels");
   }
   return OkStatus();
 }
@@ -89,7 +123,7 @@ std::vector<uint8_t> DpfKey::Serialize() const {
   out.push_back('D');
   out.push_back('P');
   out.push_back('F');
-  out.push_back('1');
+  out.push_back('2');
   out.push_back(party);
   out.push_back(depth);
   out.push_back(0);
@@ -100,15 +134,16 @@ std::vector<uint8_t> DpfKey::Serialize() const {
     out.insert(out.end(), c.seed.begin(), c.seed.end());
     out.push_back(static_cast<uint8_t>((c.t_left & 1) | ((c.t_right & 1) << 1)));
   }
+  out.insert(out.end(), cw_out.begin(), cw_out.end());
   return out;
 }
 
 StatusOr<DpfKey> DpfKey::Parse(const uint8_t* data, size_t len) {
-  if (data == nullptr || len < 25) {
+  if (data == nullptr || len < 8) {
     return InvalidArgumentError("dpf: key truncated");
   }
-  if (data[0] != 'D' || data[1] != 'P' || data[2] != 'F' || data[3] != '1') {
-    return InvalidArgumentError("dpf: bad key magic");
+  if (std::memcmp(data, "DPF2", 4) != 0) {
+    return InvalidArgumentError("dpf: bad key magic (want DPF2)");
   }
   DpfKey key;
   key.party = data[4];
@@ -127,16 +162,17 @@ StatusOr<DpfKey> DpfKey::Parse(const uint8_t* data, size_t len) {
   const uint8_t root_t = data[24];
   if (root_t > 1) return InvalidArgumentError("dpf: bad control bit");
   key.root_t = root_t;
-  key.cw.resize(key.depth);
+  key.cw.resize(DpfTreeLevels(key.depth));
   const uint8_t* p = data + 25;
-  for (uint8_t i = 0; i < key.depth; ++i) {
-    std::memcpy(key.cw[i].seed.data(), p, kDpfSeedSize);
+  for (CorrectionWord& c : key.cw) {
+    std::memcpy(c.seed.data(), p, kDpfSeedSize);
     const uint8_t bits = p[kDpfSeedSize];
     if (bits > 3) return InvalidArgumentError("dpf: bad control bits");
-    key.cw[i].t_left = bits & 1;
-    key.cw[i].t_right = (bits >> 1) & 1;
+    c.t_left = bits & 1;
+    c.t_right = (bits >> 1) & 1;
     p += kDpfSeedSize + 1;
   }
+  std::memcpy(key.cw_out.data(), p, kDpfLeafBytes);
   return key;
 }
 
@@ -144,9 +180,10 @@ StatusOr<DpfKeyPair> DpfGen(uint64_t alpha, uint8_t depth) {
   if (depth < 1 || depth > kMaxDpfDepth) {
     return InvalidArgumentError("dpf: depth out of range");
   }
-  if (depth < 64 && alpha >= (uint64_t{1} << depth)) {
+  if (alpha >= (uint64_t{1} << depth)) {
     return InvalidArgumentError("dpf: alpha outside the domain");
   }
+  const uint8_t levels = DpfTreeLevels(depth);
   DpfKeyPair pair;
   pair.key0.party = 0;
   pair.key1.party = 1;
@@ -156,110 +193,94 @@ StatusOr<DpfKeyPair> DpfGen(uint64_t alpha, uint8_t depth) {
   pair.key1.root_seed = RandomSeed();
   pair.key0.root_t = 0;
   pair.key1.root_t = 1;
-  pair.key0.cw.resize(depth);
+  pair.key0.cw.resize(levels);
 
-  Seed s0 = pair.key0.root_seed;
-  Seed s1 = pair.key1.root_seed;
-  uint8_t t0 = 0;
-  uint8_t t1 = 1;
-  for (uint8_t i = 0; i < depth; ++i) {
-    const Children c0 = Expand(s0);
-    const Children c1 = Expand(s1);
+  Node n0{pair.key0.root_seed, 0};
+  Node n1{pair.key1.root_seed, 1};
+  for (uint8_t i = 0; i < levels; ++i) {
+    Children c0 = Expand(n0.s);
+    Children c1 = Expand(n1.s);
     // MSB-first walk: level i consumes bit (depth - 1 - i) of alpha.
     const uint8_t a = static_cast<uint8_t>((alpha >> (depth - 1 - i)) & 1);
-    const Seed& lose0 = a ? c0.left : c0.right;
-    const Seed& lose1 = a ? c1.left : c1.right;
-    DpfKey::CorrectionWord cw;
-    cw.seed = lose0;
-    XorSeed(cw.seed, lose1);
+    DpfKey::CorrectionWord& cw = pair.key0.cw[i];
+    cw.seed = c0[a ^ 1].s;
+    XorInto(cw.seed, c1[a ^ 1].s);
     // The control-bit corrections force the parties' bits to differ on
     // the special path and agree off it.
-    cw.t_left = static_cast<uint8_t>(c0.t_left ^ c1.t_left ^ a ^ 1);
-    cw.t_right = static_cast<uint8_t>(c0.t_right ^ c1.t_right ^ a);
-    pair.key0.cw[i] = cw;
-
-    const Seed& keep0 = a ? c0.right : c0.left;
-    const Seed& keep1 = a ? c1.right : c1.left;
-    const uint8_t tk0 = a ? c0.t_right : c0.t_left;
-    const uint8_t tk1 = a ? c1.t_right : c1.t_left;
-    const uint8_t tcw_keep = a ? cw.t_right : cw.t_left;
-
-    Seed next0 = keep0;
-    if (t0) XorSeed(next0, cw.seed);
-    const uint8_t nt0 = static_cast<uint8_t>(tk0 ^ (t0 ? tcw_keep : 0));
-    Seed next1 = keep1;
-    if (t1) XorSeed(next1, cw.seed);
-    const uint8_t nt1 = static_cast<uint8_t>(tk1 ^ (t1 ? tcw_keep : 0));
-    s0 = next0;
-    t0 = nt0;
-    s1 = next1;
-    t1 = nt1;
+    cw.t_left = static_cast<uint8_t>(c0[0].t ^ c1[0].t ^ a ^ 1);
+    cw.t_right = static_cast<uint8_t>(c0[1].t ^ c1[1].t ^ a);
+    Correct(c0, n0.t, cw);
+    Correct(c1, n1.t, cw);
+    n0 = c0[a];
+    n1 = c1[a];
   }
+  // On the special leaf n0.t XOR n1.t = 1, so exactly one party adds
+  // CW_out and the two leaf words XOR to the unit vector at alpha.
+  pair.key0.cw_out = Convert(n0.s);
+  XorInto(pair.key0.cw_out, Convert(n1.s));
+  const uint64_t pos = alpha % (8 * kDpfLeafBytes);
+  pair.key0.cw_out[pos >> 3] ^= static_cast<uint8_t>(1u << (pos & 7));
   pair.key1.cw = pair.key0.cw;  // correction words are shared
+  pair.key1.cw_out = pair.key0.cw_out;
   return pair;
 }
 
 std::vector<uint64_t> DpfEvalFull(const DpfKey& key) {
-  const Status check = CheckKey(key);
-  if (!check.ok()) return {};
+  if (!CheckKey(key).ok()) return {};
   const uint8_t depth = key.depth;
+  const uint8_t levels = DpfTreeLevels(depth);
   const uint64_t n = uint64_t{1} << depth;
   std::vector<uint64_t> out((n + 63) / 64, 0);
+  constexpr size_t kLeafWords = kDpfLeafBytes / 8;
 
   // Split the tree into a top section expanded breadth-first once and a
   // set of bottom subtrees expanded one at a time, so the live node set
   // is bounded (~2^kSubDepth seeds) however deep the tree is.
   constexpr uint8_t kSubDepth = 12;
-  const uint8_t split = depth > kSubDepth ? depth - kSubDepth : 0;
+  const uint8_t split = levels > kSubDepth ? levels - kSubDepth : 0;
 
-  std::vector<Node> top(1);
-  top[0].s = key.root_seed;
-  top[0].t = key.root_t;
+  std::vector<Node> top(1, Node{key.root_seed, key.root_t});
   std::vector<Node> next;
   for (uint8_t level = 0; level < split; ++level) {
-    next.resize(top.size() * 2);
-    for (size_t j = 0; j < top.size(); ++j) {
-      Step(top[j], key.cw[level], &next[2 * j], &next[2 * j + 1]);
-    }
+    ExpandLevel(top, key.cw[level], next);
     top.swap(next);
   }
 
-  // Each top node roots a subtree of sub_n leaves; sub_n is a multiple of
-  // 64 whenever there is more than one subtree (split > 0 implies
-  // depth - split = kSubDepth), so every subtree owns whole output words.
-  const uint8_t sub_depth = depth - split;
-  const uint64_t sub_n = uint64_t{1} << sub_depth;
+  // Each top node roots a subtree of sub_leaves leaves, and leaf k of the
+  // tree owns output words [8k, 8k + 8). Below 512 points the one leaf is
+  // cut to the domain's words.
+  const uint64_t sub_leaves = uint64_t{1} << (levels - split);
   std::vector<Node> cur;
   for (size_t j = 0; j < top.size(); ++j) {
     cur.assign(1, top[j]);
-    for (uint8_t level = split; level < depth; ++level) {
-      next.resize(cur.size() * 2);
-      for (size_t k = 0; k < cur.size(); ++k) {
-        Step(cur[k], key.cw[level], &next[2 * k], &next[2 * k + 1]);
-      }
+    for (uint8_t level = split; level < levels; ++level) {
+      ExpandLevel(cur, key.cw[level], next);
       cur.swap(next);
     }
-    const uint64_t base = j * sub_n;
-    for (uint64_t k = 0; k < sub_n; ++k) {
-      const uint64_t bit = base + k;
-      out[bit >> 6] |= static_cast<uint64_t>(cur[k].t & 1) << (bit & 63);
+    for (uint64_t k = 0; k < sub_leaves; ++k) {
+      const LeafWord word = LeafShare(cur[k], key.cw_out);
+      const size_t first = (j * sub_leaves + k) * kLeafWords;
+      const size_t words = std::min(kLeafWords, out.size() - first);
+      for (size_t w = 0; w < words; ++w) {
+        out[first + w] = LoadLe64(word.data() + 8 * w);
+      }
     }
   }
+  if (depth < 6) out[0] &= (uint64_t{1} << n) - 1;
   return out;
 }
 
 uint8_t DpfEvalPoint(const DpfKey& key, uint64_t x) {
   if (!CheckKey(key).ok()) return 0;
-  Node node;
-  node.s = key.root_seed;
-  node.t = key.root_t;
-  Node left, right;
-  for (uint8_t i = 0; i < key.depth; ++i) {
-    Step(node, key.cw[i], &left, &right);
+  const uint8_t levels = DpfTreeLevels(key.depth);
+  Node node{key.root_seed, key.root_t};
+  for (uint8_t i = 0; i < levels; ++i) {
     const uint8_t bit = static_cast<uint8_t>((x >> (key.depth - 1 - i)) & 1);
-    node = bit ? right : left;
+    node = Step(node, key.cw[i])[bit];
   }
-  return node.t;
+  const LeafWord word = LeafShare(node, key.cw_out);
+  const uint64_t pos = x % (8 * kDpfLeafBytes);
+  return static_cast<uint8_t>((word[pos >> 3] >> (pos & 7)) & 1);
 }
 
 }  // namespace crypto

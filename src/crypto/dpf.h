@@ -8,29 +8,43 @@
 /// domain {0, ..., 2^depth - 1} is a pair of keys such that each key alone
 /// is computationally independent of alpha, yet the XOR of the two
 /// parties' evaluations equals f_alpha at every point. This is the
-/// Boyle-Gilboa-Ishai GGM-tree construction: each key is a root seed plus
-/// one 17-byte correction word per tree level, so a key is O(lambda log n)
-/// bytes — 25 + 17 * depth serialized (365 B at n = 2^20) versus the
-/// O(n)-bit selection vector xor_pir ships per query.
+/// Boyle-Gilboa-Ishai GGM-tree construction (CCS'16) with early
+/// termination: the tree stops nu = min(depth, 9) levels above the
+/// domain, and each of its 2^(depth - nu) leaves emits a whole 512-bit
+/// word of output bits. A key is a root seed, one 17-byte correction word
+/// per tree level and one 64-byte output correction word:
+/// DpfKeyBytes(d) = 25 + 17 * (d - min(d, 9)) + 64 serialized bytes
+/// (208 B at n = 2^16, 276 B at n = 2^20) versus the O(n)-bit selection
+/// vector xor_pir ships per query.
 ///
-/// The length-doubling PRG is one ChaCha20 block per node (the seed is the
-/// cipher key, zero-padded to 32 bytes; fixed nonce, counter 0): bytes
-/// 0..15 and 16..31 are the left/right child seeds, bytes 32 and 33 carry
-/// the child control bits. No OpenSSL, no AES-NI dependency — the same
-/// primitive the rest of src/crypto builds on.
+/// Both PRGs are one ChaCha20 block keyed by the seed (zero-padded to the
+/// 32-byte cipher key, fixed all-zero nonce); the block counter separates
+/// them, and every seed meets exactly one of the two:
+///   - Expand (counter 0), the length-doubling PRG of the inner nodes:
+///     bytes 0..15 and 16..31 are the left/right child seeds, bytes 32
+///     and 33 carry the child control bits;
+///   - Convert (counter 1), the output PRG of the leaves: all 64 bytes
+///     are the leaf's 512 output bits.
+/// No OpenSSL, no AES-NI dependency — the same primitive the rest of
+/// src/crypto builds on.
 ///
-/// For 1-bit outputs the leaf control bit IS the evaluation — the parties'
-/// control bits agree exactly off the special path and differ on it, so no
-/// final output correction word is needed. DpfEvalFull expands the tree
-/// level-by-level in bounded working memory (it never materializes
-/// per-leaf seeds for the whole domain) and packs the leaf bits into the
-/// little-endian word vector that storage/kernels.h SelectXorScan gates
-/// its XOR scan with.
+/// A leaf with seed s and control bit t outputs Convert(s) XOR t * CW_out.
+/// The parties' leaves agree (same seed, same bit) off the special path
+/// and differ in their control bit on it, where CW_out = Convert(s0*) XOR
+/// Convert(s1*) XOR e_(alpha mod 512) turns the XOR of the two leaf words
+/// into the unit vector at alpha. Bit x of the domain is bit x mod 512 of
+/// leaf x >> 9 (byte (x mod 512) / 8, bit x mod 8 within the 64 bytes), so
+/// one leaf is exactly 8 consecutive little-endian words of the packed
+/// vector that storage/kernels.h SelectXorScan gates its XOR scan with.
+/// DpfEvalFull expands the tree level-by-level in bounded working memory
+/// (it never materializes per-leaf seeds for the whole domain).
 ///
 /// Parsing is defensive by contract: serialized keys may arrive over the
 /// wire from an untrusted peer, so truncated, oversized, or corrupt keys
 /// decode to an error Status, never a crash or an unbounded allocation
-/// (depth is capped at kMaxDpfDepth, bounding EvalFull's output).
+/// (depth is capped at kMaxDpfDepth, bounding EvalFull's output). Keys
+/// live for one query and are never persisted, so there is one key format,
+/// "DPF2"; the older 1-bit-leaf "DPF1" format is rejected.
 
 #include <array>
 #include <cstddef>
@@ -45,16 +59,28 @@ namespace crypto {
 /// Seed width lambda in bytes (128-bit security).
 inline constexpr size_t kDpfSeedSize = 16;
 
+/// Output bytes per tree leaf (one ChaCha20 block = 512 domain points).
+inline constexpr size_t kDpfLeafBytes = 64;
+
+/// Levels cut off the bottom of the tree by a 512-bit leaf (2^9 = 512).
+inline constexpr uint8_t kDpfLeafLevels = 9;
+
 /// Upper bound on tree depth accepted anywhere (Gen and Parse), so a
 /// hostile key cannot make EvalFull allocate more than 2^26 bits = 8 MiB.
 inline constexpr uint8_t kMaxDpfDepth = 26;
 
-/// Serialized key size for a given depth (see DpfKey::Serialize layout).
-inline constexpr size_t DpfKeyBytes(uint8_t depth) {
-  return 25 + size_t{17} * depth;
+/// GGM tree levels (= correction words) of a key for a 2^depth domain.
+inline constexpr uint8_t DpfTreeLevels(uint8_t depth) {
+  return depth > kDpfLeafLevels ? depth - kDpfLeafLevels : 0;
 }
 
-/// One party's DPF key: the GGM root plus one correction word per level.
+/// Serialized key size for a given depth (see DpfKey::Serialize layout).
+inline constexpr size_t DpfKeyBytes(uint8_t depth) {
+  return 25 + size_t{17} * DpfTreeLevels(depth) + kDpfLeafBytes;
+}
+
+/// One party's DPF key: the GGM root, one correction word per tree level
+/// and the output correction word applied at the leaves.
 struct DpfKey {
   struct CorrectionWord {
     std::array<uint8_t, kDpfSeedSize> seed{};
@@ -65,22 +91,26 @@ struct DpfKey {
   /// Which party this key belongs to (0 or 1); affects nothing in Eval
   /// (the construction is symmetric) but is carried for bookkeeping.
   uint8_t party = 0;
-  /// Tree depth = log2(domain size), in [1, kMaxDpfDepth].
+  /// log2(domain size), in [1, kMaxDpfDepth].
   uint8_t depth = 0;
   std::array<uint8_t, kDpfSeedSize> root_seed{};
   /// Root control bit (party 0 gets 0, party 1 gets 1).
   uint8_t root_t = 0;
-  std::vector<CorrectionWord> cw;  // cw.size() == depth
+  std::vector<CorrectionWord> cw;  // cw.size() == DpfTreeLevels(depth)
+  /// Output correction word, XORed into a leaf word whose control bit is 1.
+  std::array<uint8_t, kDpfLeafBytes> cw_out{};
 
-  /// Byte layout: "DPF1" magic, party u8, depth u8, 2 reserved zero bytes,
-  /// root seed (16), root control bit u8, then per level the correction
-  /// seed (16) and a packed bit byte (bit 0 = t_left, bit 1 = t_right).
-  /// All fields are byte-granular, so the encoding is endian-free.
+  /// Byte layout: "DPF2" magic, party u8, depth u8, 2 reserved zero bytes,
+  /// root seed (16), root control bit u8, then per tree level the
+  /// correction seed (16) and a packed bit byte (bit 0 = t_left, bit 1 =
+  /// t_right), then cw_out (64). All fields are byte-granular, so the
+  /// encoding is endian-free.
   std::vector<uint8_t> Serialize() const;
 
   /// Inverse of Serialize. Rejects (InvalidArgument) any input that is
-  /// truncated, has trailing bytes, a bad magic/party/reserved field, a
-  /// depth outside [1, kMaxDpfDepth], or non-bit values where bits belong.
+  /// truncated, has trailing bytes, a bad magic (including "DPF1"),
+  /// party or reserved field, a depth outside [1, kMaxDpfDepth], or
+  /// non-bit values where bits belong.
   static StatusOr<DpfKey> Parse(const uint8_t* data, size_t len);
 };
 
@@ -95,16 +125,17 @@ struct DpfKeyPair {
 /// outside the domain.
 StatusOr<DpfKeyPair> DpfGen(uint64_t alpha, uint8_t depth);
 
-/// Evaluates `key` over the WHOLE domain, returning the packed leaf bits:
-/// bit x of the result (word x >> 6, bit x & 63, little-endian — the
+/// Evaluates `key` over the WHOLE domain, returning the packed output
+/// bits: bit x of the result (word x >> 6, bit x & 63, little-endian — the
 /// kernels.h convention) is this party's share of f_alpha(x). The result
-/// has (2^depth + 63) / 64 words. Streaming: expands the GGM tree
-/// level-by-level under a bounded working set (at most ~4096 node seeds
-/// live at once regardless of depth).
+/// has (2^depth + 63) / 64 words; bits at or above 2^depth (depth < 6)
+/// are zero. Streaming: expands the GGM tree level-by-level under a
+/// bounded working set (at most 4096 leaf seeds live at once regardless
+/// of depth). Returns {} for a key that breaks the DpfKey invariants.
 std::vector<uint64_t> DpfEvalFull(const DpfKey& key);
 
-/// Evaluates `key` at the single point `x` (log-depth walk; test oracle
-/// and spot checks). Requires x < 2^depth.
+/// Evaluates `key` at the single point `x` (log-depth walk plus one leaf
+/// conversion; test oracle and spot checks). Requires x < 2^depth.
 uint8_t DpfEvalPoint(const DpfKey& key, uint64_t x);
 
 }  // namespace crypto

@@ -13,8 +13,8 @@
 /// block; each server's view is one pseudorandom key, computationally
 /// independent of the index.
 ///
-/// Per query per replica: ~25 + 17 * ceil(log2 n) query bytes up
-/// (365 B at n = 2^20, versus xor_pir's n bits = 128 KiB), one block
+/// Per query per replica: crypto::DpfKeyBytes(ceil(log2 n)) query bytes
+/// up (276 B at n = 2^20, versus xor_pir's n bits = 128 KiB), one block
 /// down, one roundtrip. Server work stays Theta(n) — the PIR lower bound
 /// the paper's introduction contrasts with — but moves from per-query
 /// client bandwidth into the vectorized server scan.

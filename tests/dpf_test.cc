@@ -1,12 +1,16 @@
-// Tests for the GGM-tree DPF (crypto/dpf.h): the two parties' full-domain
-// evaluations must XOR to exactly the point function at every depth, the
-// serialized key format must round-trip, and — keys being untrusted wire
-// input — truncated or corrupt encodings must be rejected, never crash.
+// Tests for the early-terminated GGM-tree DPF (crypto/dpf.h): the two
+// parties' full-domain evaluations must XOR to exactly the point function
+// at every depth, on both sides of the 512-bit leaf boundary; a known-answer
+// table freezes the Expand/Convert PRGs; the serialized key format must
+// round-trip; and — keys being untrusted wire input — truncated, corrupt,
+// legacy-format or random encodings must be rejected, never crash.
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "crypto/chacha20.h"
 #include "crypto/dpf.h"
 #include "util/random.h"
 
@@ -22,6 +26,61 @@ uint64_t PopCount(const std::vector<uint64_t>& words) {
 
 uint8_t BitAt(const std::vector<uint64_t>& words, uint64_t x) {
   return static_cast<uint8_t>((words[x >> 6] >> (x & 63)) & 1);
+}
+
+std::vector<uint64_t> XorWords(const std::vector<uint64_t>& a,
+                               const std::vector<uint64_t>& b) {
+  std::vector<uint64_t> out(a.size());
+  for (size_t w = 0; w < out.size(); ++w) out[w] = a[w] ^ b[w];
+  return out;
+}
+
+/// FNV-1a over the words' little-endian bytes.
+uint64_t HashWords(const std::vector<uint64_t>& words) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (uint64_t w : words) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (w >> (8 * byte)) & 0xFF;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+/// A key with fixed, arithmetic (not RNG-drawn) seeds and correction
+/// words, so its evaluation depends on nothing but the DPF's PRGs.
+DpfKey HandBuiltKey(uint8_t depth, uint8_t root_t, uint8_t salt) {
+  DpfKey key;
+  key.depth = depth;
+  key.root_t = root_t;
+  for (size_t i = 0; i < kDpfSeedSize; ++i) {
+    key.root_seed[i] = static_cast<uint8_t>(salt + 29 * i);
+  }
+  key.cw.resize(DpfTreeLevels(depth));
+  for (size_t level = 0; level < key.cw.size(); ++level) {
+    for (size_t i = 0; i < kDpfSeedSize; ++i) {
+      key.cw[level].seed[i] = static_cast<uint8_t>(salt * 7 + 13 * level + 5 * i);
+    }
+    key.cw[level].t_left = level & 1;
+    key.cw[level].t_right = (level >> 1) & 1;
+  }
+  for (size_t i = 0; i < kDpfLeafBytes; ++i) {
+    key.cw_out[i] = static_cast<uint8_t>(salt ^ (17 * i + 3));
+  }
+  return key;
+}
+
+TEST(DpfTest, KeySizeFollowsTheEarlyTerminatedLayout) {
+  // Depths up to 9 are a single leaf: no tree level, just the output CW.
+  for (uint8_t depth = 1; depth <= kDpfLeafLevels; ++depth) {
+    EXPECT_EQ(DpfTreeLevels(depth), 0);
+    EXPECT_EQ(DpfKeyBytes(depth), 89u);
+  }
+  EXPECT_EQ(DpfTreeLevels(10), 1);
+  EXPECT_EQ(DpfKeyBytes(10), 106u);
+  EXPECT_EQ(DpfKeyBytes(16), 208u);
+  EXPECT_EQ(DpfKeyBytes(20), 276u);
+  EXPECT_EQ(DpfKeyBytes(kMaxDpfDepth), 378u);
 }
 
 TEST(DpfTest, EvalPairXorsToPointFunctionAtEveryDepth) {
@@ -41,10 +100,7 @@ TEST(DpfTest, EvalPairXorsToPointFunctionAtEveryDepth) {
     const std::vector<uint64_t> eval1 = DpfEvalFull(keys->key1);
     ASSERT_EQ(eval0.size(), (n + 63) / 64);
     ASSERT_EQ(eval1.size(), eval0.size());
-    std::vector<uint64_t> combined(eval0.size());
-    for (size_t w = 0; w < combined.size(); ++w) {
-      combined[w] = eval0[w] ^ eval1[w];
-    }
+    const std::vector<uint64_t> combined = XorWords(eval0, eval1);
     // Exactly one bit set, at alpha — popcount + the bit itself together
     // pin the whole domain.
     EXPECT_EQ(PopCount(combined), 1u) << "depth=" << unsigned{depth};
@@ -53,35 +109,117 @@ TEST(DpfTest, EvalPairXorsToPointFunctionAtEveryDepth) {
 }
 
 TEST(DpfTest, ExhaustiveAlphasAtSmallDepths) {
-  for (uint8_t depth = 1; depth <= 6; ++depth) {
+  // Depths 1..9 are single-leaf keys (no tree level); depth 10 is the
+  // first key with a tree level, so every alpha on both sides of the
+  // 512-point leaf boundary is covered. The popcount includes the bits
+  // above a sub-64-point domain, so those are pinned to zero as well.
+  for (uint8_t depth = 1; depth <= 10; ++depth) {
     const uint64_t n = uint64_t{1} << depth;
     for (uint64_t alpha = 0; alpha < n; ++alpha) {
       auto keys = DpfGen(alpha, depth);
       ASSERT_TRUE(keys.ok());
-      const std::vector<uint64_t> eval0 = DpfEvalFull(keys->key0);
-      const std::vector<uint64_t> eval1 = DpfEvalFull(keys->key1);
-      for (uint64_t x = 0; x < n; ++x) {
-        EXPECT_EQ(BitAt(eval0, x) ^ BitAt(eval1, x), x == alpha ? 1 : 0)
-            << "depth=" << unsigned{depth} << " alpha=" << alpha
-            << " x=" << x;
-      }
+      const std::vector<uint64_t> combined =
+          XorWords(DpfEvalFull(keys->key0), DpfEvalFull(keys->key1));
+      ASSERT_EQ(PopCount(combined), 1u)
+          << "depth=" << unsigned{depth} << " alpha=" << alpha;
+      ASSERT_EQ(BitAt(combined, alpha), 1)
+          << "depth=" << unsigned{depth} << " alpha=" << alpha;
     }
   }
 }
 
 TEST(DpfTest, EvalPointAgreesWithEvalFull) {
   Rng rng(102);
-  for (uint8_t depth : {uint8_t{1}, uint8_t{5}, uint8_t{13}, uint8_t{18}}) {
+  for (uint8_t depth : {uint8_t{1}, uint8_t{5}, uint8_t{9}, uint8_t{10},
+                        uint8_t{13}, uint8_t{18}}) {
     const uint64_t n = uint64_t{1} << depth;
     auto keys = DpfGen(rng.Uniform(n), depth);
     ASSERT_TRUE(keys.ok());
+    // Random points plus the leaf boundary (511 | 512) and the domain's
+    // last point.
+    std::vector<uint64_t> points = {0, 511, 512, n - 1};
+    for (int trial = 0; trial < 64; ++trial) points.push_back(rng.Uniform(n));
     for (const DpfKey* key : {&keys->key0, &keys->key1}) {
       const std::vector<uint64_t> full = DpfEvalFull(*key);
-      for (int trial = 0; trial < 64; ++trial) {
-        const uint64_t x = rng.Uniform(n);
-        EXPECT_EQ(DpfEvalPoint(*key, x), BitAt(full, x));
+      for (uint64_t x : points) {
+        if (x >= n) continue;
+        EXPECT_EQ(DpfEvalPoint(*key, x), BitAt(full, x))
+            << "depth=" << unsigned{depth} << " x=" << x;
       }
     }
+  }
+}
+
+TEST(DpfTest, BitsBeyondSmallDomainsAreZero) {
+  // Below 64 points the one output word is cut from a 512-bit leaf; the
+  // bits above 2^depth must not leak into SelectXorScan's gate word. A
+  // hand-built key with every output-CW bit set makes a leak all but
+  // certain to show.
+  Rng rng(104);
+  for (uint8_t depth = 1; depth < 6; ++depth) {
+    const uint64_t n = uint64_t{1} << depth;
+    auto keys = DpfGen(rng.Uniform(n), depth);
+    ASSERT_TRUE(keys.ok());
+    DpfKey saturated = HandBuiltKey(depth, /*root_t=*/1, /*salt=*/depth);
+    saturated.cw_out.fill(0xFF);
+    for (const DpfKey* key : {&keys->key0, &keys->key1, &saturated}) {
+      const std::vector<uint64_t> full = DpfEvalFull(*key);
+      ASSERT_EQ(full.size(), 1u);
+      EXPECT_EQ(full[0] >> n, 0u) << "depth=" << unsigned{depth};
+    }
+  }
+}
+
+TEST(DpfTest, ConvertIsChaChaBlockAtCounterOne) {
+  // A depth-9 key is one leaf: its evaluation is Convert(root seed), XOR
+  // the output CW when the root bit is set. Convert is pinned here to its
+  // definition — the ChaCha20 block keyed by the zero-padded seed, zero
+  // nonce, counter 1, read as little-endian words.
+  for (uint8_t root_t : {uint8_t{0}, uint8_t{1}}) {
+    const DpfKey key = HandBuiltKey(kDpfLeafLevels, root_t, /*salt=*/42);
+    ChaChaKey cipher_key{};
+    std::memcpy(cipher_key.data(), key.root_seed.data(), kDpfSeedSize);
+    uint8_t block[kChaChaBlockSize];
+    ChaCha20Block(cipher_key, ChaChaNonce{}, /*counter=*/1, block);
+    if (root_t) {
+      for (size_t i = 0; i < kChaChaBlockSize; ++i) block[i] ^= key.cw_out[i];
+    }
+    const std::vector<uint64_t> full = DpfEvalFull(key);
+    ASSERT_EQ(full.size(), 8u);
+    for (size_t w = 0; w < full.size(); ++w) {
+      uint64_t expected = 0;
+      for (int byte = 7; byte >= 0; --byte) {
+        expected = (expected << 8) | block[8 * w + byte];
+      }
+      EXPECT_EQ(full[w], expected) << "root_t=" << unsigned{root_t}
+                                   << " word=" << w;
+    }
+  }
+}
+
+TEST(DpfTest, KnownAnswerVectors) {
+  // Frozen evaluations of fixed keys on both sides of the leaf boundary.
+  // Any change to Expand, Convert, the leaf layout or the tree walk moves
+  // these hashes: a faster PRG implementation must reproduce them
+  // bit-for-bit.
+  struct Vector {
+    uint8_t depth;
+    uint8_t root_t;
+    uint64_t hash;
+  };
+  const Vector vectors[] = {
+      {1, 0, 0x89cd31291d2aefa4ULL},  {1, 1, 0xc7c2bf3b330983e6ULL},
+      {6, 0, 0x82fc0ab8a58bee2cULL},  {6, 1, 0x1aa33b2be5e64decULL},
+      {9, 0, 0xc43116be925d9cfeULL},  {9, 1, 0x58f097fef79be5baULL},
+      {10, 0, 0xc2c93cacf690cffbULL}, {10, 1, 0xb2bbd1b8e8537991ULL},
+      {16, 0, 0x28aaeba6dca2fe62ULL}, {16, 1, 0x4bafb190393d514eULL},
+  };
+  for (const Vector& v : vectors) {
+    const DpfKey key = HandBuiltKey(v.depth, v.root_t, /*salt=*/v.depth);
+    const std::vector<uint64_t> full = DpfEvalFull(key);
+    ASSERT_EQ(full.size(), ((uint64_t{1} << v.depth) + 63) / 64);
+    EXPECT_EQ(HashWords(full), v.hash)
+        << "depth=" << unsigned{v.depth} << " root_t=" << unsigned{v.root_t};
   }
 }
 
@@ -101,8 +239,8 @@ TEST(DpfTest, EachPartyEvaluationLooksBalanced) {
 
 TEST(DpfTest, SerializationRoundTrips) {
   Rng rng(103);
-  for (uint8_t depth : {uint8_t{1}, uint8_t{7}, uint8_t{20},
-                        kMaxDpfDepth}) {
+  for (uint8_t depth : {uint8_t{1}, uint8_t{7}, uint8_t{9}, uint8_t{10},
+                        uint8_t{20}, kMaxDpfDepth}) {
     auto keys = DpfGen(rng.Uniform(uint64_t{1} << depth), depth);
     ASSERT_TRUE(keys.ok());
     for (const DpfKey* key : {&keys->key0, &keys->key1}) {
@@ -120,6 +258,7 @@ TEST(DpfTest, SerializationRoundTrips) {
         EXPECT_EQ(parsed->cw[level].t_left, key->cw[level].t_left);
         EXPECT_EQ(parsed->cw[level].t_right, key->cw[level].t_right);
       }
+      EXPECT_EQ(parsed->cw_out, key->cw_out);
       // Re-serialization is byte-identical (canonical encoding).
       EXPECT_EQ(parsed->Serialize(), bytes);
     }
@@ -127,12 +266,15 @@ TEST(DpfTest, SerializationRoundTrips) {
 }
 
 TEST(DpfTest, ParseRejectsTruncatedAndCorruptKeys) {
-  auto keys = DpfGen(5, 8);
+  constexpr uint8_t kDepth = 12;  // three tree levels
+  auto keys = DpfGen(1234, kDepth);
   ASSERT_TRUE(keys.ok());
   const std::vector<uint8_t> good = keys->key0.Serialize();
+  ASSERT_EQ(good.size(), DpfKeyBytes(kDepth));
   ASSERT_TRUE(DpfKey::Parse(good.data(), good.size()).ok());
 
-  // Truncation at every prefix length must fail cleanly.
+  // Truncation at every prefix length must fail cleanly — including every
+  // cut inside the trailing 64-byte output-CW region.
   for (size_t len = 0; len < good.size(); ++len) {
     EXPECT_FALSE(DpfKey::Parse(good.data(), len).ok()) << "len=" << len;
   }
@@ -148,21 +290,101 @@ TEST(DpfTest, ParseRejectsTruncatedAndCorruptKeys) {
     bad[at] = value;
     return DpfKey::Parse(bad.data(), bad.size()).status();
   };
-  // Bad magic.
+  // Bad magic, in the tag and in the version byte.
   EXPECT_FALSE(corrupt(0, 'X').ok());
+  EXPECT_FALSE(corrupt(3, '3').ok());
   // Party byte outside {0, 1}.
   EXPECT_FALSE(corrupt(4, 2).ok());
-  // Depth 0, and a depth that disagrees with the actual length.
+  // Depth 0, and depths whose level count disagrees with the length: one
+  // level fewer or more, and any single-leaf depth (no levels at all).
   EXPECT_FALSE(corrupt(5, 0).ok());
-  EXPECT_FALSE(corrupt(5, 9).ok());
+  EXPECT_FALSE(corrupt(5, kDepth - 1).ok());
+  EXPECT_FALSE(corrupt(5, kDepth + 1).ok());
+  EXPECT_FALSE(corrupt(5, kDpfLeafLevels).ok());
   // Depth beyond the cap: a hostile key must not size a 2^depth eval.
   EXPECT_FALSE(corrupt(5, kMaxDpfDepth + 1).ok());
   // Reserved bytes must be zero.
   EXPECT_FALSE(corrupt(6, 1).ok());
   EXPECT_FALSE(corrupt(7, 1).ok());
-  // Root control byte and per-level control-bit bytes must be bit-valued.
+  // Root control byte and every per-level control-bit byte must be
+  // bit-valued.
   EXPECT_FALSE(corrupt(24, 2).ok());
-  EXPECT_FALSE(corrupt(good.size() - 1, 4).ok());
+  for (uint8_t level = 0; level < DpfTreeLevels(kDepth); ++level) {
+    const size_t bits_at = 25 + 17 * size_t{level} + kDpfSeedSize;
+    EXPECT_FALSE(corrupt(bits_at, 4).ok()) << "level=" << unsigned{level};
+    EXPECT_TRUE(corrupt(bits_at, 3).ok()) << "level=" << unsigned{level};
+  }
+  // Every output-CW byte value is a valid key (it is pseudorandom data).
+  EXPECT_TRUE(corrupt(good.size() - kDpfLeafBytes, 0xA5).ok());
+  EXPECT_TRUE(corrupt(good.size() - 1, 0xFF).ok());
+
+  // A single-leaf key's length fits every depth in [1, 9], and no other.
+  auto leaf_keys = DpfGen(3, 4);
+  ASSERT_TRUE(leaf_keys.ok());
+  std::vector<uint8_t> leaf = leaf_keys->key1.Serialize();
+  ASSERT_EQ(leaf.size(), DpfKeyBytes(4));
+  leaf[5] = kDpfLeafLevels;
+  EXPECT_TRUE(DpfKey::Parse(leaf.data(), leaf.size()).ok());
+  leaf[5] = kDpfLeafLevels + 1;
+  EXPECT_FALSE(DpfKey::Parse(leaf.data(), leaf.size()).ok());
+}
+
+TEST(DpfTest, ParseRejectsWellFormedDpf1Keys) {
+  // The retired 1-bit-leaf layout: "DPF1", party, depth, 2 reserved,
+  // root seed, root bit, then one 17-byte correction word per level and
+  // no output CW. Its fields are all valid, yet it is refused by type.
+  for (uint8_t depth : {uint8_t{8}, uint8_t{16}}) {
+    std::vector<uint8_t> dpf1 = {'D', 'P', 'F', '1', 0, depth, 0, 0};
+    for (size_t i = 0; i < kDpfSeedSize; ++i) {
+      dpf1.push_back(static_cast<uint8_t>(i));
+    }
+    dpf1.push_back(0);
+    for (uint8_t level = 0; level < depth; ++level) {
+      for (size_t i = 0; i < kDpfSeedSize; ++i) dpf1.push_back(level);
+      dpf1.push_back(level & 3);
+    }
+    ASSERT_EQ(dpf1.size(), 25 + size_t{17} * depth);
+    const Status status = DpfKey::Parse(dpf1.data(), dpf1.size()).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  }
+}
+
+TEST(DpfTest, ParseFuzzNeverCrashes) {
+  // Seeded fuzz: random byte strings (half behind a valid magic so they
+  // reach the field checks), and single-byte mutations of valid keys.
+  // Survival under ASan/UBSan is the main assertion; any input that does
+  // parse must be canonical and evaluable.
+  Rng rng(20261017);
+  int parsed_ok = 0;
+  for (int round = 0; round < 400; ++round) {
+    std::vector<uint8_t> bytes;
+    if (round % 2 == 0) {
+      bytes.resize(rng.Uniform(2 * DpfKeyBytes(kMaxDpfDepth)));
+      for (uint8_t& byte : bytes) byte = static_cast<uint8_t>(rng.Uniform(256));
+      if (round % 4 == 0 && bytes.size() >= 4) {
+        std::memcpy(bytes.data(), "DPF2", 4);
+      }
+    } else {
+      const uint8_t depth = static_cast<uint8_t>(1 + rng.Uniform(14));
+      auto keys = DpfGen(rng.Uniform(uint64_t{1} << depth), depth);
+      ASSERT_TRUE(keys.ok());
+      bytes = keys->key0.Serialize();
+      bytes[rng.Uniform(bytes.size())] = static_cast<uint8_t>(rng.Uniform(256));
+    }
+    auto parsed = DpfKey::Parse(bytes.data(), bytes.size());
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    ++parsed_ok;
+    EXPECT_EQ(parsed->Serialize(), bytes);
+    if (parsed->depth <= 14) {
+      EXPECT_EQ(DpfEvalFull(*parsed).size(),
+                ((uint64_t{1} << parsed->depth) + 63) / 64);
+    }
+  }
+  // Mutated seeds and output-CW bytes still parse: the fuzz reached Eval.
+  EXPECT_GT(parsed_ok, 0);
 }
 
 TEST(DpfTest, GenRejectsBadDomains) {
@@ -179,14 +401,19 @@ TEST(DpfTest, GenRejectsBadDomains) {
 
 TEST(DpfTest, EvalFullOfMalformedKeyIsEmpty) {
   // DpfEvalFull is documented to return {} rather than crash on a key
-  // whose invariants are broken (depth 0 or cw size mismatch) — the
-  // defensive floor beneath the Parse layer.
+  // whose invariants are broken (depth 0 or a correction-word count that
+  // is not the tree's level count) — the defensive floor beneath the
+  // Parse layer.
   DpfKey bad;
   bad.depth = 0;
   EXPECT_TRUE(DpfEvalFull(bad).empty());
   bad.depth = 4;
-  bad.cw.resize(2);  // should be 4
+  bad.cw.resize(2);  // a single-leaf depth has no levels
   EXPECT_TRUE(DpfEvalFull(bad).empty());
+  bad.depth = 12;
+  bad.cw.resize(12);  // one word per domain bit: 9 too many
+  EXPECT_TRUE(DpfEvalFull(bad).empty());
+  EXPECT_EQ(DpfEvalPoint(bad, 0), 0);
 }
 
 }  // namespace
