@@ -10,12 +10,19 @@
 //     O(lambda log n) bytes while the answer stays one block per replica.
 //
 //   dpf_pir_scan            — the server-side kernel: full-domain key
-//     expansion time and SelectXorScan GiB/s per kernel variant over a
+//     expansion time, SelectXorScan GiB/s per kernel variant over a
 //     64 MiB arena (the Theta(n) work the PIR lower bound keeps, moved
-//     into the vectorized scan).
+//     into the vectorized scan), and the fused pass a server runs
+//     (eval_scan_ms: range evaluator chunks fed straight into the scan).
+//
+//   dpf_pir_sharded_n20_s<k> — measured ms/op at n = 2^20 on registry
+//     `memory` (s1) and on `sharded` with 4 and 16 shards: each shard
+//     expands only its own slice of the key's domain, so sharding should
+//     cost little over one arena.
 //
 //   dpf_pir_socket          — measured ms/op with the key crossing the
 //     real wire codec into the in-process socketpair server.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -144,6 +151,23 @@ void ServerScanStudy() {
   const std::vector<uint64_t> bits = crypto::DpfEvalFull(keys->key0);
   const double expand_ms = ElapsedMs(expand_start);
 
+  // The fused pass a storage server runs per key: each chunk of leaf words
+  // gates the scan of its blocks while it is in L1. Best of 3.
+  double eval_scan_ms = 0.0;
+  std::vector<uint8_t> fused(kBlockSize, 0);
+  for (int trial = 0; trial < 3; ++trial) {
+    const auto start = Clock::now();
+    crypto::DpfRangeEvaluator eval(keys->key0, 0, kCount);
+    const uint8_t* blocks = arena.data();
+    for (crypto::DpfRangeEvaluator::Chunk chunk; eval.Next(&chunk);) {
+      kernels::SelectXorScan(fused.data(), blocks, chunk.count, kBlockSize,
+                             chunk.bits, chunk.bit_offset);
+      blocks += chunk.count * kBlockSize;
+    }
+    const double ms = ElapsedMs(start);
+    if (trial == 0 || ms < eval_scan_ms) eval_scan_ms = ms;
+  }
+
   bench::BenchJson cell("dpf_pir_scan");
   cell.Metric("n", kCount);
   cell.Metric("block_size", kBlockSize);
@@ -173,10 +197,70 @@ void ServerScanStudy() {
   }
   cell.Metric("active_variant",
               std::string(kernels::VariantName(kernels::ActiveVariant())));
+  cell.Metric("eval_scan_ms", eval_scan_ms);
   table.Print(std::cout);
   std::cout << "Key expansion (EvalFull, depth " << unsigned{kDepth}
-            << "): " << expand_ms << " ms\n";
+            << "): " << expand_ms << " ms; fused eval + scan (active "
+            << "variant): " << eval_scan_ms << " ms\n";
   cell.Emit();
+}
+
+void ShardedStudy() {
+  PrintBanner(std::cout,
+              "dpf_pir on sharded replicas (n=2^20 x 16 B, registry "
+              "memory vs sharded): each shard evaluates only its slice");
+  TablePrinter table({"backend", "shards", "ms/op", "over memory"});
+  const uint64_t shard_counts[] = {1, 4, 16};
+  std::vector<std::unique_ptr<RamScheme>> schemes;
+  for (uint64_t shards : shard_counts) {
+    SchemeConfig config;
+    config.n = uint64_t{1} << 20;
+    config.value_size = 16;
+    config.seed = 5;
+    config.backend = shards == 1 ? "memory" : "sharded";
+    config.shards = shards;
+    auto scheme = SchemeRegistry::Instance().MakeRam("dpf_pir", config);
+    DPSTORE_CHECK_OK(scheme.status());
+    schemes.push_back(std::move(*scheme));
+  }
+  // The backends take turns query by query, so drift on a shared host
+  // hits all three alike, and each reports its median query.
+  constexpr int kRounds = 24;
+  std::vector<std::vector<double>> ms(schemes.size());
+  Rng rng(23);
+  for (int round = 0; round < kRounds; ++round) {
+    const BlockId index = rng.Uniform(uint64_t{1} << 20);
+    for (size_t b = 0; b < schemes.size(); ++b) {
+      const auto start = Clock::now();
+      auto got = schemes[b]->QueryRead(index);
+      ms[b].push_back(ElapsedMs(start));
+      DPSTORE_CHECK_OK(got.status());
+      DPSTORE_CHECK(IsMarkerBlock(**got, index));
+    }
+  }
+  double memory_ms = 0.0;
+  for (size_t b = 0; b < schemes.size(); ++b) {
+    std::sort(ms[b].begin(), ms[b].end());
+    const double median_ms = (ms[b][kRounds / 2 - 1] + ms[b][kRounds / 2]) / 2;
+    if (b == 0) memory_ms = median_ms;
+    const double over_memory = median_ms / memory_ms - 1.0;
+    const uint64_t shards = shard_counts[b];
+    const std::string backend = shards == 1 ? "memory" : "sharded";
+    table.AddRow()
+        .AddCell(backend)
+        .AddUint(shards)
+        .AddDouble(median_ms, 2)
+        .AddDouble(100.0 * over_memory, 1);
+    bench::BenchJson cell("dpf_pir_sharded_n20_s" + std::to_string(shards));
+    cell.Metric("n", uint64_t{1} << 20);
+    cell.Metric("shards", shards);
+    cell.Metric("backend", backend);
+    cell.Metric("queries", kRounds);
+    cell.Metric("wall_ms_per_op", median_ms);
+    cell.Metric("over_memory", over_memory);
+    cell.Emit();
+  }
+  table.Print(std::cout);
 }
 
 void SocketStudy() {
@@ -217,6 +301,7 @@ void SocketStudy() {
 void Run() {
   QueryBandwidthSweep();
   ServerScanStudy();
+  ShardedStudy();
   SocketStudy();
   std::cout
       << "\nPaper framing: two-server PIR keeps Theta(n) server work (the\n"

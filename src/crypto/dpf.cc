@@ -5,6 +5,7 @@
 
 #include "crypto/chacha20.h"
 #include "crypto/prg.h"
+#include "util/check.h"
 
 namespace dpstore {
 namespace crypto {
@@ -13,14 +14,13 @@ namespace {
 using Seed = std::array<uint8_t, kDpfSeedSize>;
 using LeafWord = std::array<uint8_t, kDpfLeafBytes>;
 
-/// One GGM node: a seed and its control bit.
-struct Node {
-  Seed s{};
-  uint8_t t = 0;
-};
+using Node = DpfRangeEvaluator::Node;
 
 /// Both children of one expanded node: [0] left, [1] right.
 using Children = std::array<Node, 2>;
+
+/// Leaf bits per leaf word (2^kDpfLeafLevels).
+constexpr uint64_t kLeafPoints = 8 * kDpfLeafBytes;
 
 /// One ChaCha20 block keyed by `seed` (zero-padded to the 32-byte cipher
 /// key) under the all-zero nonce; the seed is fresh per node.
@@ -31,16 +31,43 @@ void SeedBlock(const Seed& seed, uint32_t counter,
   ChaCha20Block(key, ChaChaNonce{}, counter, block);
 }
 
-/// The length-doubling PRG of inner nodes (counter 0).
-Children Expand(const Seed& seed) {
-  uint8_t block[kChaChaBlockSize];
-  SeedBlock(seed, /*counter=*/0, block);
+/// SeedBlock(nodes[l].s, counter) into out + 64 * l for l < k <= 8: one
+/// ChaCha20Block8 call, or single blocks when k <= 2, where the 8-lane
+/// call costs more than the blocks it would save.
+void SeedBlocks8(const Node* nodes, size_t k, uint32_t counter,
+                 uint8_t out[kChaChaLanes * kChaChaBlockSize]) {
+  if (k <= 2) {
+    for (size_t l = 0; l < k; ++l) {
+      SeedBlock(nodes[l].s, counter, out + kChaChaBlockSize * l);
+    }
+    return;
+  }
+  ChaChaKey keys[kChaChaLanes] = {};
+  ChaChaNonce nonces[kChaChaLanes] = {};
+  uint32_t counters[kChaChaLanes];
+  for (size_t l = 0; l < kChaChaLanes; ++l) counters[l] = counter;
+  for (size_t l = 0; l < k; ++l) {
+    std::memcpy(keys[l].data(), nodes[l].s.data(), kDpfSeedSize);
+  }
+  ChaCha20Block8(keys, nonces, counters, out);
+}
+
+/// Parses an Expand block: bytes 0..15 and 16..31 are the child seeds,
+/// bytes 32 and 33 the child control bits.
+Children ChildrenOf(const uint8_t block[kChaChaBlockSize]) {
   Children c;
   std::memcpy(c[0].s.data(), block, kDpfSeedSize);
   std::memcpy(c[1].s.data(), block + kDpfSeedSize, kDpfSeedSize);
   c[0].t = block[2 * kDpfSeedSize] & 1;
   c[1].t = block[2 * kDpfSeedSize + 1] & 1;
   return c;
+}
+
+/// The length-doubling PRG of inner nodes (counter 0).
+Children Expand(const Seed& seed) {
+  uint8_t block[kChaChaBlockSize];
+  SeedBlock(seed, /*counter=*/0, block);
+  return ChildrenOf(block);
 }
 
 /// The output PRG of leaves (counter 1): 512 leaf bits.
@@ -75,14 +102,20 @@ inline Children Step(const Node& node, const DpfKey::CorrectionWord& cw) {
   return c;
 }
 
-/// Expands every node of one tree level under correction word `cw`.
-void ExpandLevel(const std::vector<Node>& level,
-                 const DpfKey::CorrectionWord& cw, std::vector<Node>& next) {
-  next.resize(level.size() * 2);
-  for (size_t j = 0; j < level.size(); ++j) {
-    const Children c = Step(level[j], cw);
-    next[2 * j] = c[0];
-    next[2 * j + 1] = c[1];
+/// Step over nodes[0, k): the children of nodes[j] go to out[2j, 2j + 1].
+/// Expand runs 8 nodes per ChaCha20Block8 call.
+void StepMany(const Node* nodes, size_t k, const DpfKey::CorrectionWord& cw,
+              Node* out) {
+  uint8_t blocks[kChaChaLanes * kChaChaBlockSize];
+  for (size_t j = 0; j < k; j += kChaChaLanes) {
+    const size_t lanes = std::min(kChaChaLanes, k - j);
+    SeedBlocks8(nodes + j, lanes, /*counter=*/0, blocks);
+    for (size_t l = 0; l < lanes; ++l) {
+      Children c = ChildrenOf(blocks + kChaChaBlockSize * l);
+      Correct(c, nodes[j + l].t, cw);
+      out[2 * (j + l)] = c[0];
+      out[2 * (j + l) + 1] = c[1];
+    }
   }
 }
 
@@ -97,6 +130,28 @@ inline uint64_t LoadLe64(const uint8_t* p) {
   uint64_t v = 0;
   for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
   return v;
+}
+
+/// LeafShare over leaves[0, k) as packed words: leaf j fills
+/// words[8j, 8j + 8). Convert runs 8 leaves per ChaCha20Block8 call.
+void LeafShareMany(const Node* leaves, size_t k, const LeafWord& cw_out,
+                   uint64_t* words) {
+  constexpr size_t kLeafWords = kDpfLeafBytes / 8;
+  uint8_t blocks[kChaChaLanes * kChaChaBlockSize];
+  for (size_t j = 0; j < k; j += kChaChaLanes) {
+    const size_t lanes = std::min(kChaChaLanes, k - j);
+    SeedBlocks8(leaves + j, lanes, /*counter=*/1, blocks);
+    for (size_t l = 0; l < lanes; ++l) {
+      uint8_t* word = blocks + kChaChaBlockSize * l;
+      const uint8_t t = leaves[j + l].t;
+      for (size_t i = 0; i < kDpfLeafBytes; ++i) {
+        word[i] = static_cast<uint8_t>(word[i] ^ (cw_out[i] & (0 - t)));
+      }
+      for (size_t w = 0; w < kLeafWords; ++w) {
+        words[(j + l) * kLeafWords + w] = LoadLe64(word + 8 * w);
+      }
+    }
+  }
 }
 
 Seed RandomSeed() {
@@ -225,46 +280,87 @@ StatusOr<DpfKeyPair> DpfGen(uint64_t alpha, uint8_t depth) {
   return pair;
 }
 
+DpfRangeEvaluator::DpfRangeEvaluator(const DpfKey& key, uint64_t offset,
+                                     uint64_t count)
+    : key_(key), next_point_(offset), end_point_(offset + count) {
+  DPSTORE_CHECK(CheckKey(key).ok()) << "dpf: malformed key";
+  const uint64_t domain = uint64_t{1} << key.depth;
+  DPSTORE_CHECK(offset <= domain && count <= domain - offset)
+      << "dpf: range [" << offset << ", +" << count << ") outside 2^"
+      << unsigned{key.depth};
+  const uint8_t levels = DpfTreeLevels(key.depth);
+  chunk_levels_ = std::min(levels, kChunkLevels);
+  path_levels_ = static_cast<uint8_t>(levels - chunk_levels_);
+  path_[0] = Node{key.root_seed, key.root_t};
+}
+
+void DpfRangeEvaluator::SeekChunk(uint64_t c) {
+  if (path_valid_ && c == chunk_) return;
+  // Paths to chunks c and chunk_ agree down to level keep = path_levels -
+  // bit_length(c ^ chunk_); children_[keep] is still the expansion of
+  // path_[keep], so only the levels below it are expanded again. The first
+  // seek expands the whole path from the root.
+  uint8_t keep = 0;
+  if (path_valid_) {
+    const int diff_bits = 64 - __builtin_clzll(c ^ chunk_);
+    keep = static_cast<uint8_t>(path_levels_ - diff_bits);
+  }
+  for (uint8_t i = keep; i < path_levels_; ++i) {
+    if (i > keep || !path_valid_) children_[i] = Step(path_[i], key_.cw[i]);
+    path_[i + 1] = children_[i][(c >> (path_levels_ - 1 - i)) & 1];
+  }
+  chunk_ = c;
+  path_valid_ = true;
+}
+
+bool DpfRangeEvaluator::Next(Chunk* chunk) {
+  if (next_point_ >= end_point_) return false;
+  // Leaves [lo, hi) of chunk c (indices relative to its first leaf, base)
+  // hold the points still to emit that this chunk covers.
+  const uint64_t first_leaf = next_point_ / kLeafPoints;
+  const uint64_t end_leaf = (end_point_ + kLeafPoints - 1) / kLeafPoints;
+  const uint64_t c = first_leaf >> chunk_levels_;
+  const uint64_t base = c << chunk_levels_;
+  const uint64_t lo = first_leaf - base;
+  const uint64_t hi = std::min(end_leaf - base, uint64_t{1} << chunk_levels_);
+  SeekChunk(c);
+
+  // Breadth-first below the chunk root, keeping at each level only the
+  // nodes over [lo, hi): at level j those are [lo >> s, (hi - 1) >> s] with
+  // s = chunk_levels - j. The two level buffers alternate.
+  const Node* level = &path_[path_levels_];
+  size_t width = 1;
+  Node* buffers[2] = {level_.data(), next_level_.data()};
+  for (uint8_t j = 0; j < chunk_levels_; ++j) {
+    Node* out = buffers[j & 1];
+    StepMany(level, width, key_.cw[path_levels_ + j], out);
+    const uint8_t shift = static_cast<uint8_t>(chunk_levels_ - j - 1);
+    const uint64_t first = lo >> shift;
+    level = out + (first - 2 * (lo >> (shift + 1)));
+    width = static_cast<size_t>(((hi - 1) >> shift) - first + 1);
+  }
+  LeafShareMany(level, width, key_.cw_out, words_.data());
+
+  chunk->bits = words_.data();
+  chunk->bit_offset = next_point_ - (base + lo) * kLeafPoints;
+  chunk->count = std::min(end_point_, (base + hi) * kLeafPoints) - next_point_;
+  next_point_ += chunk->count;
+  return true;
+}
+
 std::vector<uint64_t> DpfEvalFull(const DpfKey& key) {
   if (!CheckKey(key).ok()) return {};
   const uint8_t depth = key.depth;
-  const uint8_t levels = DpfTreeLevels(depth);
   const uint64_t n = uint64_t{1} << depth;
   std::vector<uint64_t> out((n + 63) / 64, 0);
-  constexpr size_t kLeafWords = kDpfLeafBytes / 8;
-
-  // Split the tree into a top section expanded breadth-first once and a
-  // set of bottom subtrees expanded one at a time, so the live node set
-  // is bounded (~2^kSubDepth seeds) however deep the tree is.
-  constexpr uint8_t kSubDepth = 12;
-  const uint8_t split = levels > kSubDepth ? levels - kSubDepth : 0;
-
-  std::vector<Node> top(1, Node{key.root_seed, key.root_t});
-  std::vector<Node> next;
-  for (uint8_t level = 0; level < split; ++level) {
-    ExpandLevel(top, key.cw[level], next);
-    top.swap(next);
-  }
-
-  // Each top node roots a subtree of sub_leaves leaves, and leaf k of the
-  // tree owns output words [8k, 8k + 8). Below 512 points the one leaf is
-  // cut to the domain's words.
-  const uint64_t sub_leaves = uint64_t{1} << (levels - split);
-  std::vector<Node> cur;
-  for (size_t j = 0; j < top.size(); ++j) {
-    cur.assign(1, top[j]);
-    for (uint8_t level = split; level < levels; ++level) {
-      ExpandLevel(cur, key.cw[level], next);
-      cur.swap(next);
-    }
-    for (uint64_t k = 0; k < sub_leaves; ++k) {
-      const LeafWord word = LeafShare(cur[k], key.cw_out);
-      const size_t first = (j * sub_leaves + k) * kLeafWords;
-      const size_t words = std::min(kLeafWords, out.size() - first);
-      for (size_t w = 0; w < words; ++w) {
-        out[first + w] = LoadLe64(word.data() + 8 * w);
-      }
-    }
+  // From point 0 every chunk starts on a leaf boundary (bit_offset 0); a
+  // domain under 64 points is one word cut from a 512-bit leaf.
+  DpfRangeEvaluator eval(key, 0, n);
+  size_t word = 0;
+  for (DpfRangeEvaluator::Chunk chunk; eval.Next(&chunk);) {
+    const size_t words = static_cast<size_t>((chunk.count + 63) / 64);
+    std::memcpy(out.data() + word, chunk.bits, words * sizeof(uint64_t));
+    word += words;
   }
   if (depth < 6) out[0] &= (uint64_t{1} << n) - 1;
   return out;

@@ -36,8 +36,18 @@
 /// leaf x >> 9 (byte (x mod 512) / 8, bit x mod 8 within the 64 bytes), so
 /// one leaf is exactly 8 consecutive little-endian words of the packed
 /// vector that storage/kernels.h SelectXorScan gates its XOR scan with.
-/// DpfEvalFull expands the tree level-by-level in bounded working memory
-/// (it never materializes per-leaf seeds for the whole domain).
+///
+/// Evaluation is one range evaluator, DpfRangeEvaluator: it walks only the
+/// subtrees that cover [offset, offset + count) and emits their leaf words
+/// in domain order, at most 64 leaves (32 768 points) per chunk, into a
+/// buffer inside the evaluator. Working memory is a few KiB whatever the
+/// depth, nothing is heap-allocated, and a range of n points costs
+/// O(n / 512 + depth) ChaCha20 blocks: a storage server feeds each chunk
+/// straight into SelectXorScan, and a cluster leg expands only its own
+/// slice of the domain. Inside a chunk the tree is expanded breadth-first
+/// and both PRGs run ChaCha20Block8, 8 nodes per call. DpfEvalFull is the
+/// evaluator over the whole domain copied into a vector; it is the test
+/// oracle.
 ///
 /// Parsing is defensive by contract: serialized keys may arrive over the
 /// wire from an untrusted peer, so truncated, oversized, or corrupt keys
@@ -125,13 +135,79 @@ struct DpfKeyPair {
 /// outside the domain.
 StatusOr<DpfKeyPair> DpfGen(uint64_t alpha, uint8_t depth);
 
+/// Streams one key's output bits over the domain range [offset,
+/// offset + count), a chunk of whole leaves at a time:
+///
+///   crypto::DpfRangeEvaluator eval(key, offset, count);
+///   for (crypto::DpfRangeEvaluator::Chunk c; eval.Next(&c);) {
+///     // bits c.bit_offset .. c.bit_offset + c.count - 1 of c.bits are
+///     // this party's shares of the next c.count points of the range
+///   }
+///
+/// The key must satisfy the DpfKey invariants (as DpfKey::Parse and
+/// DpfGen guarantee) and offset + count must not exceed 2^depth; both are
+/// checked. The evaluator keeps a reference to `key`, and a chunk's bits
+/// stay valid until the next call to Next.
+class DpfRangeEvaluator {
+ public:
+  /// Tree levels expanded breadth-first inside one chunk (2^6 leaves).
+  static constexpr uint8_t kChunkLevels = 6;
+  static constexpr size_t kChunkLeaves = size_t{1} << kChunkLevels;
+  static constexpr size_t kChunkWords = kChunkLeaves * kDpfLeafBytes / 8;
+
+  /// The next run of the range: `count` points whose bits start at bit
+  /// `bit_offset` of `bits` (kernels.h packing, < 512 since chunks start
+  /// on a leaf boundary).
+  struct Chunk {
+    const uint64_t* bits = nullptr;
+    uint64_t bit_offset = 0;
+    uint64_t count = 0;
+  };
+
+  /// A GGM tree node: seed and control bit (shared with dpf.cc's PRGs).
+  struct Node {
+    std::array<uint8_t, kDpfSeedSize> s{};
+    uint8_t t = 0;
+  };
+
+  DpfRangeEvaluator(const DpfKey& key, uint64_t offset, uint64_t count);
+
+  DpfRangeEvaluator(const DpfRangeEvaluator&) = delete;
+  DpfRangeEvaluator& operator=(const DpfRangeEvaluator&) = delete;
+
+  /// Evaluates the next chunk into `chunk`; false once the range is done.
+  bool Next(Chunk* chunk);
+
+ private:
+  /// Points the path at the root of chunk `c`, re-expanding only the
+  /// levels below the deepest ancestor it shares with the current chunk.
+  void SeekChunk(uint64_t c);
+
+  const DpfKey& key_;
+  uint64_t next_point_;  ///< first point of the range not yet emitted
+  uint64_t end_point_;   ///< offset + count
+  uint8_t path_levels_;  ///< tree levels above a chunk root
+  uint8_t chunk_levels_; ///< tree levels inside a chunk
+  uint64_t chunk_ = 0;   ///< chunk the path leads to
+  bool path_valid_ = false;
+  /// path_[i] is the level-i ancestor of the current chunk root (path_[0]
+  /// the root); children_[i] are both children of path_[i], so stepping to
+  /// the next chunk reuses the sibling instead of expanding it again.
+  std::array<Node, kMaxDpfDepth + 1> path_{};
+  std::array<std::array<Node, 2>, kMaxDpfDepth> children_{};
+  /// Breadth-first level buffers inside a chunk.
+  std::array<Node, kChunkLeaves> level_{};
+  std::array<Node, kChunkLeaves> next_level_{};
+  std::array<uint64_t, kChunkWords> words_{};
+};
+
 /// Evaluates `key` over the WHOLE domain, returning the packed output
 /// bits: bit x of the result (word x >> 6, bit x & 63, little-endian — the
 /// kernels.h convention) is this party's share of f_alpha(x). The result
 /// has (2^depth + 63) / 64 words; bits at or above 2^depth (depth < 6)
-/// are zero. Streaming: expands the GGM tree level-by-level under a
-/// bounded working set (at most 4096 leaf seeds live at once regardless
-/// of depth). Returns {} for a key that breaks the DpfKey invariants.
+/// are zero. A DpfRangeEvaluator over [0, 2^depth) copied into one
+/// vector: the test oracle for the range evaluator and its callers.
+/// Returns {} for a key that breaks the DpfKey invariants.
 std::vector<uint64_t> DpfEvalFull(const DpfKey& key);
 
 /// Evaluates `key` at the single point `x` (log-depth walk plus one leaf

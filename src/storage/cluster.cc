@@ -437,8 +437,9 @@ Ticket ClusterBackend::Submit(StorageRequest request) {
       }
     }
     // Each primary evaluates the SAME key over its own slice of the
-    // selection-bit domain (offset bumped by the range's block base); the
-    // XOR of the per-range answers equals the whole-arena answer.
+    // selection-bit domain (offset bumped by the range's block base), and
+    // its engine expands only that slice; the XOR of the per-range answers
+    // equals the whole-arena answer.
     for (size_t r = 0; r < members_.size(); ++r) {
       auto [lo_block, hi_block] = RangeBlocks(r);
       if (hi_block == lo_block) continue;

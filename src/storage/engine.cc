@@ -451,17 +451,23 @@ StatusOr<StorageReply> StorageEngine::ExecuteValidated(
           " does not cover offset " + std::to_string(request.dpf_offset) +
           " + n=" + std::to_string(state->n));
     }
-    // Expand the key OUTSIDE the stripe locks (it is pure computation),
-    // then do the one streaming pass over the arena under all stripes —
-    // the eval must see a consistent snapshot, like SetArray.
-    const std::vector<uint64_t> bits = crypto::DpfEvalFull(*key);
+    // One fused pass under all stripes (the eval must see a consistent
+    // snapshot, like SetArray): the range evaluator expands only this
+    // arena's slice of the domain, a chunk of leaves at a time, and each
+    // chunk's bits gate the scan of its blocks while they are in L1. No
+    // selection vector is materialized.
     reply.blocks = BlockBuffer::FromPool(pool_, 1, block_size);
     MutableBlockView out = reply.blocks.Mutable(0);
     std::memset(out.data(), 0, out.size());
     if (state->n > 0 && block_size > 0) {
+      crypto::DpfRangeEvaluator eval(*key, request.dpf_offset, state->n);
       StripeLockSet held(state, AllStripesMask(*state));
-      kernels::SelectXorScan(out.data(), state->base, state->n,
-                             block_size, bits.data(), request.dpf_offset);
+      const uint8_t* blocks = state->base;
+      for (crypto::DpfRangeEvaluator::Chunk chunk; eval.Next(&chunk);) {
+        kernels::SelectXorScan(out.data(), blocks, chunk.count, block_size,
+                               chunk.bits, chunk.bit_offset);
+        blocks += chunk.count * block_size;
+      }
     }
     TidCounters& counters =
         tid_counters_[tid < num_threads_ ? tid : tid % num_threads_];

@@ -14,12 +14,17 @@
 ///     iff bit (bit_offset + i) of a packed selection vector is set. The
 ///     scan is branchless (a 0/−0 word mask gates every XOR), so its
 ///     memory traffic and timing are independent of the selection bits:
-///     every block is read exactly once whether selected or not.
+///     every block is read exactly once whether selected or not. The
+///     SSE2/AVX2 variants keep the running XOR in registers for the whole
+///     call and fold it into `dst` once at the end, so the loop only
+///     loads the arena (a block wider than 8 vectors is accumulated in
+///     8-vector stripes, 16 blocks at a time), prefetching 2 KiB ahead.
 ///   - CopyRuns:       a batch of disjoint memcpy runs (the engine's
 ///     run-coalesced gather/scatter).
 ///
 /// Each primitive has portable-scalar, SSE2 and AVX2 implementations
-/// compiled with per-function target attributes in one translation unit;
+/// compiled with per-function target attributes in one translation unit
+/// (crypto/chacha20.h's ChaCha20Block8 follows the same dispatch);
 /// the best variant the CPU supports is chosen once at startup and can be
 /// forced down with the environment variable DPSTORE_KERNEL
 /// (`scalar` | `sse2` | `avx2`) — CI runs the whole suite with
@@ -28,15 +33,8 @@
 /// (tests/kernels_test.cc holds them to it on random and edge-aligned
 /// buffers).
 ///
-/// ParallelFor is the chunking harness for many-core hosts: it splits a
-/// scan into contiguous chunks and runs them on a small thread set
-/// (inline when the range is small or the host has one core), so a
-/// SelectXorScan over a multi-GiB arena can use the machine's full
-/// memory bandwidth.
-
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 namespace dpstore {
 namespace kernels {
@@ -96,16 +94,6 @@ void CopyRunsVariant(Variant v, const CopyRun* runs, size_t count);
 
 /// True when this CPU can execute `v`.
 bool VariantSupported(Variant v);
-
-// --- Chunked parallel-for ----------------------------------------------------
-
-/// Runs fn(chunk_begin, chunk_end) over a partition of [begin, end) into
-/// contiguous chunks of at least `min_chunk` elements. Uses up to
-/// hardware_concurrency threads when the range is large enough to amortize
-/// thread startup; otherwise runs inline on the caller's thread. `fn` must
-/// be safe to call concurrently on disjoint chunks.
-void ParallelFor(size_t begin, size_t end, size_t min_chunk,
-                 const std::function<void(size_t, size_t)>& fn);
 
 }  // namespace kernels
 }  // namespace dpstore

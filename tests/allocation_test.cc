@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "counting_allocator.h"
+#include "crypto/dpf.h"
 #include "storage/block_buffer.h"
 #include "storage/engine.h"
 #include "storage/server.h"
@@ -115,6 +116,44 @@ TEST(AllocationTest, BufferPoolRecyclesReplySlabs) {
   }
   // The request's own index-vector copy is the only allocation allowed.
   EXPECT_LE(window.Delta(), 4 * 2);
+}
+
+TEST(AllocationTest, DpfEvalAllocationsDoNotGrowWithTheDomain) {
+  // A kDpfEval exchange evaluates its key fused with the scan, a chunk of
+  // leaves at a time in a fixed buffer, so nothing it allocates scales
+  // with 2^depth: the same number of allocations and the same bytes at
+  // depth 20 (where a materialized selection vector would be 128 KiB) as
+  // at depth 14.
+  struct PerExchange {
+    int64_t allocations;
+    int64_t bytes;
+  };
+  auto per_eval = [](uint8_t depth, int rounds = 8) {
+    StorageServer server(uint64_t{1} << depth, 16);
+    server.SetTranscriptCountingOnly(true);
+    auto keys = crypto::DpfGen(3, depth);
+    EXPECT_TRUE(keys.ok());
+    const StorageRequest request =
+        StorageRequest::DpfEvalOf(keys->key0.Serialize());
+    for (int i = 0; i < 2; ++i) {  // warm the reply pool
+      EXPECT_TRUE(server.Exchange(request).ok());
+    }
+    test::AllocationWindow window;
+    for (int i = 0; i < rounds; ++i) {
+      EXPECT_TRUE(server.Exchange(request).ok());
+    }
+    return PerExchange{window.Delta() / rounds, window.DeltaBytes() / rounds};
+  };
+  const PerExchange small = per_eval(14);
+  const PerExchange large = per_eval(20);
+  EXPECT_EQ(small.allocations, large.allocations)
+      << "per-eval allocations scale with the DPF domain";
+  // Only the key grows with depth: the request copy by 17 B and the parsed
+  // correction words by 18 B per tree level, 210 B over these 6 levels. A
+  // selection vector would add 126 KiB.
+  EXPECT_LT(large.bytes - small.bytes, 1024)
+      << "per-eval bytes scale with the DPF domain (depth 14: " << small.bytes
+      << " B, depth 20: " << large.bytes << " B)";
 }
 
 TEST(AllocationTest, JournalAppendPathIsAllocationFreeInSteadyState) {

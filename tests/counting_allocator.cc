@@ -7,9 +7,12 @@
 namespace {
 
 std::atomic<int64_t> g_allocations{0};
+std::atomic<int64_t> g_allocated_bytes{0};
 
 void* CountedAlloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(static_cast<int64_t>(size),
+                              std::memory_order_relaxed);
   if (size == 0) size = 1;
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
@@ -18,6 +21,8 @@ void* CountedAlloc(std::size_t size) {
 
 void* CountedAllocAligned(std::size_t size, std::align_val_t alignment) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(static_cast<int64_t>(size),
+                              std::memory_order_relaxed);
   const std::size_t align = static_cast<std::size_t>(alignment);
   // C11 aligned_alloc requires size to be a multiple of the alignment.
   size = (size + align - 1) / align * align;
@@ -36,9 +41,18 @@ int64_t AllocationCount() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
-AllocationWindow::AllocationWindow() : start(AllocationCount()) {}
+int64_t AllocatedBytes() {
+  return g_allocated_bytes.load(std::memory_order_relaxed);
+}
+
+AllocationWindow::AllocationWindow()
+    : start(AllocationCount()), start_bytes(AllocatedBytes()) {}
 
 int64_t AllocationWindow::Delta() const { return AllocationCount() - start; }
+
+int64_t AllocationWindow::DeltaBytes() const {
+  return AllocatedBytes() - start_bytes;
+}
 
 }  // namespace test
 }  // namespace dpstore

@@ -19,11 +19,16 @@ namespace test {
 /// Total operator-new invocations so far (process-wide, thread-safe).
 int64_t AllocationCount();
 
-/// Allocations between two snapshots.
+/// Total bytes requested from operator new so far (frees not subtracted).
+int64_t AllocatedBytes();
+
+/// Allocations (and bytes requested) between two snapshots.
 struct AllocationWindow {
   int64_t start;
+  int64_t start_bytes;
   AllocationWindow();
   int64_t Delta() const;
+  int64_t DeltaBytes() const;
 };
 
 }  // namespace test

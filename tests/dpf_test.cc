@@ -3,7 +3,12 @@
 // at every depth, on both sides of the 512-bit leaf boundary; a known-answer
 // table freezes the Expand/Convert PRGs; the serialized key format must
 // round-trip; and — keys being untrusted wire input — truncated, corrupt,
-// legacy-format or random encodings must be rejected, never crash.
+// legacy-format or random encodings must be rejected, never crash. The
+// range evaluator must reproduce every slice of the full evaluation, the
+// storage engine's fused eval-and-scan must equal SelectXorScan over
+// DpfEvalFull, and the 8-lane ChaCha20 must equal ChaCha20Block per lane
+// under every kernel variant.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -12,6 +17,8 @@
 
 #include "crypto/chacha20.h"
 #include "crypto/dpf.h"
+#include "storage/kernels.h"
+#include "storage/server.h"
 #include "util/random.h"
 
 namespace dpstore {
@@ -68,6 +75,39 @@ DpfKey HandBuiltKey(uint8_t depth, uint8_t root_t, uint8_t salt) {
     key.cw_out[i] = static_cast<uint8_t>(salt ^ (17 * i + 3));
   }
   return key;
+}
+
+/// The range evaluator's output over [offset, offset + count) as packed
+/// words (bit i = point offset + i), checking each chunk's contract.
+std::vector<uint64_t> EvalRange(const DpfKey& key, uint64_t offset,
+                                uint64_t count) {
+  std::vector<uint64_t> out((count + 63) / 64, 0);
+  DpfRangeEvaluator eval(key, offset, count);
+  uint64_t done = 0;
+  for (DpfRangeEvaluator::Chunk chunk; eval.Next(&chunk);) {
+    EXPECT_GT(chunk.count, 0u);
+    EXPECT_LT(chunk.bit_offset, 8 * kDpfLeafBytes);
+    EXPECT_LE(chunk.bit_offset + chunk.count,
+              64 * DpfRangeEvaluator::kChunkWords);
+    for (uint64_t i = 0; i < chunk.count; ++i) {
+      const uint64_t from = chunk.bit_offset + i;
+      const uint64_t bit = (chunk.bits[from >> 6] >> (from & 63)) & 1;
+      out[(done + i) >> 6] |= bit << ((done + i) & 63);
+    }
+    done += chunk.count;
+  }
+  EXPECT_EQ(done, count);
+  return out;
+}
+
+/// Bits [offset, offset + count) of `full`, repacked from bit 0.
+std::vector<uint64_t> Slice(const std::vector<uint64_t>& full, uint64_t offset,
+                            uint64_t count) {
+  std::vector<uint64_t> out((count + 63) / 64, 0);
+  for (uint64_t i = 0; i < count; ++i) {
+    out[i >> 6] |= uint64_t{BitAt(full, offset + i)} << (i & 63);
+  }
+  return out;
 }
 
 TEST(DpfTest, KeySizeFollowsTheEarlyTerminatedLayout) {
@@ -220,6 +260,230 @@ TEST(DpfTest, KnownAnswerVectors) {
     ASSERT_EQ(full.size(), ((uint64_t{1} << v.depth) + 63) / 64);
     EXPECT_EQ(HashWords(full), v.hash)
         << "depth=" << unsigned{v.depth} << " root_t=" << unsigned{v.root_t};
+  }
+}
+
+TEST(DpfTest, KnownAnswerVectorsAcrossChunks) {
+  // Depths past one 64-leaf chunk: the range evaluator walks 4 (depth 18)
+  // and 64 (depth 21) chunks and reuses its cached path between them. The
+  // hashes are those of the level-by-level evaluator the range evaluator
+  // replaced, so they pin the same tree.
+  struct Vector {
+    uint8_t depth;
+    uint8_t root_t;
+    uint64_t hash;
+  };
+  const Vector vectors[] = {
+      {18, 0, 0x801afc36a0fcb890ULL}, {18, 1, 0x0363a5539e723a33ULL},
+      {21, 0, 0xfa24505acddf1065ULL}, {21, 1, 0x8a09bf18849e2fa0ULL},
+  };
+  for (const Vector& v : vectors) {
+    const DpfKey key = HandBuiltKey(v.depth, v.root_t, /*salt=*/v.depth);
+    EXPECT_EQ(HashWords(DpfEvalFull(key)), v.hash)
+        << "depth=" << unsigned{v.depth} << " root_t=" << unsigned{v.root_t};
+  }
+}
+
+TEST(DpfTest, RangeEvaluatorMatchesEvalFullSlices) {
+  // Every depth up to 12, ranges starting and ending on both sides of the
+  // 512-point leaf boundary, counts that are not multiples of 512, and
+  // ranges that end exactly at the domain's last point.
+  Rng rng(105);
+  const uint64_t edges[] = {0, 1, 511, 512, 513};
+  const uint64_t counts[] = {1, 7, 511, 512, 513, 1000, 1537};
+  for (uint8_t depth = 1; depth <= 12; ++depth) {
+    const uint64_t n = uint64_t{1} << depth;
+    auto keys = DpfGen(rng.Uniform(n), depth);
+    ASSERT_TRUE(keys.ok());
+    DpfKey hand = HandBuiltKey(depth, /*root_t=*/1, /*salt=*/depth);
+    for (const DpfKey* key : {&keys->key0, &keys->key1, &hand}) {
+      const std::vector<uint64_t> full = DpfEvalFull(*key);
+      std::vector<std::pair<uint64_t, uint64_t>> ranges;
+      for (uint64_t offset : edges) {
+        if (offset >= n) continue;
+        ranges.emplace_back(offset, n - offset);  // to the domain's end
+        for (uint64_t count : counts) {
+          if (count > n) continue;
+          if (offset + count <= n) ranges.emplace_back(offset, count);
+          ranges.emplace_back(n - count, count);  // ends at 2^depth - 1
+        }
+      }
+      for (const auto& [offset, count] : ranges) {
+        ASSERT_EQ(EvalRange(*key, offset, count), Slice(full, offset, count))
+            << "depth=" << unsigned{depth} << " offset=" << offset
+            << " count=" << count;
+      }
+    }
+  }
+}
+
+TEST(DpfTest, RangeEvaluatorAcrossChunkBoundaries) {
+  // From depth 16 a range spans several chunks of 32768 points: ranges
+  // that straddle chunk and leaf boundaries must match the full-domain
+  // evaluation and the independent point walk.
+  Rng rng(106);
+  constexpr uint64_t kChunkPoints =
+      DpfRangeEvaluator::kChunkLeaves * 8 * kDpfLeafBytes;
+  for (uint8_t depth : {uint8_t{16}, uint8_t{18}, uint8_t{21}}) {
+    const uint64_t n = uint64_t{1} << depth;
+    auto keys = DpfGen(rng.Uniform(n), depth);
+    ASSERT_TRUE(keys.ok());
+    const std::vector<uint64_t> full = DpfEvalFull(keys->key1);
+    std::vector<std::pair<uint64_t, uint64_t>> ranges = {
+        {0, n},
+        {kChunkPoints - 3, kChunkPoints + 10},
+        {kChunkPoints, kChunkPoints},
+        {kChunkPoints + 511, 2 * kChunkPoints - 700},
+        {n - kChunkPoints - 1, kChunkPoints + 1},
+    };
+    for (int trial = 0; trial < 4; ++trial) {
+      const uint64_t offset = rng.Uniform(n);
+      ranges.emplace_back(offset, 1 + rng.Uniform(n - offset));
+    }
+    for (const auto& [offset, count] : ranges) {
+      if (offset + count > n) continue;  // the fixed ranges need depth 17+
+      const std::vector<uint64_t> got = EvalRange(keys->key1, offset, count);
+      ASSERT_EQ(got, Slice(full, offset, count))
+          << "depth=" << unsigned{depth} << " offset=" << offset
+          << " count=" << count;
+      for (int probe = 0; probe < 16; ++probe) {
+        const uint64_t i = rng.Uniform(count);
+        ASSERT_EQ(BitAt(got, i), DpfEvalPoint(keys->key1, offset + i))
+            << "depth=" << unsigned{depth} << " x=" << offset + i;
+      }
+    }
+  }
+}
+
+TEST(DpfTest, RangeEvaluatorEmptyRangeEmitsNothing) {
+  auto keys = DpfGen(3, 10);
+  ASSERT_TRUE(keys.ok());
+  for (uint64_t offset : {uint64_t{0}, uint64_t{600}, uint64_t{1024}}) {
+    DpfRangeEvaluator eval(keys->key0, offset, 0);
+    DpfRangeEvaluator::Chunk chunk;
+    EXPECT_FALSE(eval.Next(&chunk)) << "offset=" << offset;
+  }
+}
+
+TEST(DpfTest, EngineAnswerMatchesScanOfEvalFull) {
+  // The storage engine evaluates a key fused with its scan, over its own
+  // slice [offset, offset + n) of the domain. Its one-block answer must
+  // equal SelectXorScan gated by the matching bits of DpfEvalFull, for
+  // block sizes on both sides of every vector width, arenas that are not
+  // a whole number of leaves, and offsets inside a leaf.
+  Rng rng(107);
+  struct Case {
+    uint8_t depth;
+    uint64_t n;
+    uint64_t offset;
+  };
+  const Case cases[] = {{13, 3000, 1234}, {16, uint64_t{1} << 16, 0},
+                        {17, 40000, 70001}, {9, 1, 511}};
+  for (size_t block_size : {size_t{1}, size_t{16}, size_t{64}, size_t{100},
+                            size_t{4096}}) {
+    for (const Case& c : cases) {
+      if (block_size == 4096 && c.n > 4096) continue;  // keep arenas small
+      StorageServer server(c.n, block_size);
+      std::vector<Block> db(c.n);
+      std::vector<uint8_t> arena;
+      arena.reserve(c.n * block_size);
+      for (Block& block : db) {
+        block.resize(block_size);
+        for (uint8_t& byte : block) {
+          byte = static_cast<uint8_t>(rng.Uniform(256));
+        }
+        arena.insert(arena.end(), block.begin(), block.end());
+      }
+      ASSERT_TRUE(server.SetArray(std::move(db)).ok());
+      auto keys = DpfGen(c.offset + rng.Uniform(c.n), c.depth);
+      ASSERT_TRUE(keys.ok());
+      for (const DpfKey* key : {&keys->key0, &keys->key1}) {
+        const std::vector<uint64_t> bits = DpfEvalFull(*key);
+        std::vector<uint8_t> expected(block_size, 0);
+        kernels::SelectXorScan(expected.data(), arena.data(), c.n, block_size,
+                               bits.data(), c.offset);
+        auto reply = server.Exchange(
+            StorageRequest::DpfEvalOf(key->Serialize(), c.offset));
+        ASSERT_TRUE(reply.ok()) << reply.status();
+        ASSERT_EQ(reply->blocks.size(), 1u);
+        const BlockView got = reply->blocks[0];
+        EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
+                               expected.end()))
+            << "block_size=" << block_size << " depth=" << unsigned{c.depth}
+            << " n=" << c.n << " offset=" << c.offset;
+      }
+    }
+  }
+}
+
+std::vector<kernels::Variant> SupportedVariants() {
+  std::vector<kernels::Variant> variants;
+  for (kernels::Variant v : {kernels::Variant::kScalar, kernels::Variant::kSse2,
+                             kernels::Variant::kAvx2}) {
+    if (kernels::VariantSupported(v)) variants.push_back(v);
+  }
+  return variants;
+}
+
+TEST(DpfTest, ChaCha20Block8MatchesRfc8439InEveryLane) {
+  // RFC 8439 Section 2.3.2, placed in every lane at once.
+  ChaChaKey keys[kChaChaLanes];
+  ChaChaNonce nonces[kChaChaLanes];
+  uint32_t counters[kChaChaLanes];
+  for (size_t l = 0; l < kChaChaLanes; ++l) {
+    for (size_t i = 0; i < kChaChaKeySize; ++i) {
+      keys[l][i] = static_cast<uint8_t>(i);
+    }
+    nonces[l] = {0x00, 0x00, 0x00, 0x09, 0x00, 0x00,
+                 0x00, 0x4a, 0x00, 0x00, 0x00, 0x00};
+    counters[l] = 1;
+  }
+  const uint8_t expected[kChaChaBlockSize] = {
+      0x10, 0xf1, 0xe7, 0xe4, 0xd1, 0x3b, 0x59, 0x15, 0x50, 0x0f, 0xdd,
+      0x1f, 0xa3, 0x20, 0x71, 0xc4, 0xc7, 0xd1, 0xf4, 0xc7, 0x33, 0xc0,
+      0x68, 0x03, 0x04, 0x22, 0xaa, 0x9a, 0xc3, 0xd4, 0x6c, 0x4e, 0xd2,
+      0x82, 0x64, 0x46, 0x07, 0x9f, 0xaa, 0x09, 0x14, 0xc2, 0xd7, 0x05,
+      0xd9, 0x8b, 0x02, 0xa2, 0xb5, 0x12, 0x9c, 0xd1, 0xde, 0x16, 0x4e,
+      0xb9, 0xcb, 0xd0, 0x83, 0xe8, 0xa2, 0x50, 0x3c, 0x4e};
+  for (kernels::Variant v : SupportedVariants()) {
+    uint8_t out[kChaChaLanes * kChaChaBlockSize];
+    ChaCha20Block8Variant(v, keys, nonces, counters, out);
+    for (size_t l = 0; l < kChaChaLanes; ++l) {
+      EXPECT_EQ(0, std::memcmp(out + kChaChaBlockSize * l, expected,
+                               kChaChaBlockSize))
+          << "variant=" << kernels::VariantName(v) << " lane=" << l;
+    }
+  }
+}
+
+TEST(DpfTest, ChaCha20Block8MatchesBlockPerLane) {
+  // Random, unrelated key, nonce and counter in every lane (counters near
+  // 2^32 included): each lane must be exactly its own ChaCha20Block, under
+  // every variant this CPU runs and through the dispatched entry point.
+  Rng rng(108);
+  for (int trial = 0; trial < 50; ++trial) {
+    ChaChaKey keys[kChaChaLanes];
+    ChaChaNonce nonces[kChaChaLanes];
+    uint32_t counters[kChaChaLanes];
+    uint8_t expected[kChaChaLanes * kChaChaBlockSize];
+    for (size_t l = 0; l < kChaChaLanes; ++l) {
+      for (uint8_t& b : keys[l]) b = static_cast<uint8_t>(rng.Uniform(256));
+      for (uint8_t& b : nonces[l]) b = static_cast<uint8_t>(rng.Uniform(256));
+      counters[l] =
+          l == 0 ? 0xFFFFFFFFu
+                 : static_cast<uint32_t>(rng.Uniform(uint64_t{1} << 32));
+      ChaCha20Block(keys[l], nonces[l], counters[l],
+                    expected + kChaChaBlockSize * l);
+    }
+    for (kernels::Variant v : SupportedVariants()) {
+      uint8_t out[kChaChaLanes * kChaChaBlockSize];
+      ChaCha20Block8Variant(v, keys, nonces, counters, out);
+      EXPECT_EQ(0, std::memcmp(out, expected, sizeof(out)))
+          << "variant=" << kernels::VariantName(v) << " trial=" << trial;
+    }
+    uint8_t out[kChaChaLanes * kChaChaBlockSize];
+    ChaCha20Block8(keys, nonces, counters, out);
+    EXPECT_EQ(0, std::memcmp(out, expected, sizeof(out))) << "dispatched";
   }
 }
 

@@ -1,9 +1,8 @@
 // Tests for the runtime-dispatched data-plane kernels: every variant this
 // CPU supports must be bit-identical to the portable scalar baseline on
-// random and deliberately misaligned buffers, the DPSTORE_KERNEL override
-// must never force an unsupported variant, and ParallelFor must cover its
-// range exactly once however it chunks.
-#include <atomic>
+// random and deliberately misaligned buffers, and the DPSTORE_KERNEL
+// override must never force an unsupported variant.
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -43,11 +42,15 @@ TEST(KernelsTest, ActiveVariantIsSupportedAndNamed) {
     ASSERT_NE(name, nullptr);
     EXPECT_GT(std::string(name).size(), 0u);
   }
-  // When the suite runs with DPSTORE_KERNEL=scalar (the CI matrix leg),
-  // the override must actually have taken effect.
+  // When the suite runs with DPSTORE_KERNEL=scalar or sse2 (the CI matrix
+  // legs), the override must actually have taken effect.
   const char* forced = std::getenv("DPSTORE_KERNEL");
   if (forced != nullptr && std::string(forced) == "scalar") {
     EXPECT_EQ(ActiveVariant(), Variant::kScalar);
+  }
+  if (forced != nullptr && std::string(forced) == "sse2" &&
+      VariantSupported(Variant::kSse2)) {
+    EXPECT_EQ(ActiveVariant(), Variant::kSse2);
   }
 }
 
@@ -142,6 +145,57 @@ TEST(KernelsTest, SelectXorScanVariantsBitIdentical) {
   }
 }
 
+TEST(KernelsTest, SelectXorScanAccumulatesAcrossStripesAndTails) {
+  // The SIMD scans keep the running XOR in registers: whole vectors, a
+  // 16/8/1..7-byte tail, and for blocks wider than 8 vectors stripes over
+  // groups of 16 blocks. Block sizes straddle each of those cuts, counts
+  // are not multiples of 4, 16 or 64, src and dst sit at odd addresses,
+  // and dst starts non-zero: the kernel must XOR into it, not overwrite.
+  Rng rng(16);
+  for (size_t block_size :
+       {size_t{1}, size_t{7}, size_t{8}, size_t{31}, size_t{32}, size_t{33},
+        size_t{64}, size_t{96}, size_t{256}, size_t{257}, size_t{300},
+        size_t{520}, size_t{4096}}) {
+    for (size_t count : {size_t{1}, size_t{3}, size_t{5}, size_t{17},
+                         size_t{63}, size_t{65}, size_t{130}}) {
+      for (uint64_t bit_offset : {uint64_t{0}, uint64_t{5}, uint64_t{67}}) {
+        for (size_t misalign : {size_t{0}, size_t{1}, size_t{13}}) {
+          const std::vector<uint8_t> backing_src =
+              RandomBytes(&rng, count * block_size + misalign);
+          const uint8_t* arena = backing_src.data() + misalign;
+          std::vector<uint64_t> bits((bit_offset + count + 63) / 64);
+          for (uint64_t& word : bits) {
+            word = (rng.Uniform(uint64_t{1} << 32) << 32) ^
+                   rng.Uniform(uint64_t{1} << 32);
+          }
+          const std::vector<uint8_t> dst0 = RandomBytes(&rng, block_size);
+          std::vector<uint8_t> naive = dst0;
+          for (size_t i = 0; i < count; ++i) {
+            const uint64_t bit = bit_offset + i;
+            if (((bits[bit >> 6] >> (bit & 63)) & 1) == 0) continue;
+            for (size_t b = 0; b < block_size; ++b) {
+              naive[b] ^= arena[i * block_size + b];
+            }
+          }
+          for (Variant v : SupportedVariants()) {
+            std::vector<uint8_t> backing_dst(block_size + misalign);
+            std::copy(dst0.begin(), dst0.end(),
+                      backing_dst.begin() + misalign);
+            SelectXorScanVariant(v, backing_dst.data() + misalign, arena,
+                                 count, block_size, bits.data(), bit_offset);
+            const std::vector<uint8_t> got(backing_dst.begin() + misalign,
+                                           backing_dst.end());
+            ASSERT_EQ(got, naive)
+                << "bs=" << block_size << " count=" << count
+                << " off=" << bit_offset << " misalign=" << misalign
+                << " variant=" << VariantName(v);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelsTest, SelectXorScanEdgePatterns) {
   // All-ones and all-zeros selection vectors: the all-ones answer is the
   // XOR of everything, all-zeros is zero — for every variant.
@@ -202,30 +256,6 @@ TEST(KernelsTest, CopyRunsVariantsBitIdenticalAndOrdered) {
   }
   // Empty batch is a no-op.
   CopyRuns(nullptr, 0);
-}
-
-TEST(KernelsTest, ParallelForCoversRangeExactlyOnce) {
-  for (size_t total : {size_t{0}, size_t{1}, size_t{100}, size_t{100000}}) {
-    for (size_t min_chunk : {size_t{1}, size_t{64}, size_t{1} << 16}) {
-      std::vector<std::atomic<uint32_t>> hits(total);
-      for (auto& h : hits) h.store(0);
-      ParallelFor(0, total, min_chunk, [&](size_t begin, size_t end) {
-        ASSERT_LE(begin, end);
-        ASSERT_LE(end, total);
-        for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-      });
-      for (size_t i = 0; i < total; ++i) {
-        ASSERT_EQ(hits[i].load(), 1u)
-            << "i=" << i << " total=" << total << " min_chunk=" << min_chunk;
-      }
-    }
-  }
-  // Nonzero begin.
-  std::atomic<uint64_t> sum{0};
-  ParallelFor(10, 20, 1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) sum.fetch_add(i);
-  });
-  EXPECT_EQ(sum.load(), uint64_t{145});
 }
 
 }  // namespace
