@@ -18,7 +18,8 @@
 // Prints one "dpstore_server: listening on ..." line to stdout when ready
 // (CI waits for it), then serves until SIGINT/SIGTERM — on which it stops
 // accepting, finishes every in-flight exchange, prints the
-// connection/namespace accounting, and exits 0.
+// connection/namespace accounting (ending in the process's peak resident
+// set, peak_rss_mib), and exits 0.
 
 #include <arpa/inet.h>
 #include <errno.h>
@@ -77,6 +78,23 @@ void PrintUsage(std::FILE* out, const char* argv0) {
 int Usage(const char* argv0) {
   PrintUsage(stderr, argv0);
   return 2;
+}
+
+// The process's peak resident set (VmHWM) in MiB, or -1 when
+// /proc/self/status is unreadable.
+double PeakRssMiB() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return -1.0;
+  char line[256];
+  double kib = -1.0;
+  while (std::fgets(line, sizeof(line), status) != nullptr) {
+    if (std::strncmp(line, "VmHWM:", 6) == 0) {
+      kib = std::strtod(line + 6, nullptr);
+      break;
+    }
+  }
+  std::fclose(status);
+  return kib < 0 ? kib : kib / 1024.0;
 }
 
 int ListenUnix(const std::string& path, int backlog) {
@@ -265,12 +283,13 @@ int main(int argc, char** argv) {
       "dpstore_server: drained: conns accepted=%" PRIu64 " rejected=%" PRIu64
       " | frames=%" PRIu64 " exchanges=%" PRIu64 " (fused %" PRIu64
       " in %" PRIu64 " batches, shed %" PRIu64 ") | namespaces live=%" PRIu64
-      " created=%" PRIu64 " | blocks moved=%" PRIu64 "\n",
+      " created=%" PRIu64 " | blocks moved=%" PRIu64
+      " | peak_rss_mib=%.1f\n",
       counters.connections_accepted, counters.connections_rejected,
       counters.frames_served, counters.exchanges_served,
       counters.fused_frames, counters.fused_batches, counters.frames_shed,
       counters.engine.namespaces, counters.engine.namespaces_created,
-      counters.engine.blocks_moved);
+      counters.engine.blocks_moved, PeakRssMiB());
   if (!data_dir.empty()) {
     const dpstore::persist::PersistCounters& p = counters.engine.persist;
     std::printf("dpstore_server: durability: journal appends=%" PRIu64

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "storage/backend.h"
+#include "storage/persist/journal.h"
 #include "storage/wire.h"
 
 namespace dpstore {
@@ -107,7 +108,7 @@ Status DispatchFrame(StorageEngine& engine, unsigned tid, NamespaceHandle* ns,
                         : SendError(fd, reply.status(), ticket, *version);
     }
     case wire::FrameType::kSetArray: {
-      Status status = engine.SetArray(*ns, frame.payload.ToBlocks());
+      Status status = engine.SetArray(*ns, frame.payload);
       return status.ok() ? SendAck(fd, ticket, *version)
                          : SendError(fd, status, ticket, *version);
     }
@@ -376,11 +377,26 @@ void StorageService::ProcessLocked(unsigned tid,
   // The head always joins, even when alone it exceeds the budget.
   uint64_t budget =
       std::max<uint64_t>(options_.fuse_blocks, head.indices.size());
+  // The budget counts blocks; a fused upload is also ONE journal record on
+  // a persistent namespace, so the group stops before that record's bytes
+  // would pass the cap. The head alone always fits: a record body and a
+  // frame body share one fixed prefix and one cap.
+  static_assert(wire::kMaxFrameBytes == persist::kMaxJournalRecordBytes);
+  static_assert(wire::kHeaderBytes == persist::kJournalRecordFixedBytes);
+  const uint64_t bytes_per_block =
+      op == StorageRequest::Op::kUpload ? 8 + conn->ns.block_size() : 0;
+  uint64_t record_room =
+      persist::kMaxJournalRecordBytes - persist::kJournalRecordFixedBytes;
   std::vector<GroupItem> items;
   std::vector<std::shared_ptr<Connection>> claimed;
+  auto fits = [&](const wire::DecodedFrame& frame) {
+    return frame.indices.size() <= budget &&
+           frame.indices.size() * bytes_per_block <= record_room;
+  };
   auto take = [&](const std::shared_ptr<Connection>& c,
                   wire::DecodedFrame frame) {
     budget -= frame.indices.size();
+    record_room -= frame.indices.size() * bytes_per_block;
     GroupItem item;
     item.conn = c;
     item.ticket = frame.header.ticket;
@@ -394,7 +410,7 @@ void StorageService::ProcessLocked(unsigned tid,
       wire::DecodedFrame& front = c->queue.front().frame;
       if (front.header.type != wire::FrameType::kRequest ||
           static_cast<StorageRequest::Op>(front.header.code) != op ||
-          front.indices.size() > budget || !FusableFrame(front, c->ns)) {
+          !fits(front) || !FusableFrame(front, c->ns)) {
         break;
       }
       take(c, std::move(front));
@@ -411,7 +427,7 @@ void StorageService::ProcessLocked(unsigned tid,
             wire::FrameType::kRequest &&
         static_cast<StorageRequest::Op>(
             other->queue.front().frame.header.code) == op &&
-        other->queue.front().frame.indices.size() <= budget &&
+        fits(other->queue.front().frame) &&
         FusableFrame(other->queue.front().frame, other->ns)) {
       std::shared_ptr<Connection> c = other;
       ready_.erase(ready_.begin() + i);
@@ -426,21 +442,27 @@ void StorageService::ProcessLocked(unsigned tid,
 
   lock.unlock();
 
-  // One engine exchange for the whole group.
+  // One engine exchange for the whole group. A group of one frame (every
+  // unpipelined request) hands its indices and payload over as they are.
   StorageRequest fused;
   fused.op = op;
-  uint64_t total = 0;
-  for (const GroupItem& item : items) total += item.count;
-  fused.indices.reserve(total);
-  if (op == StorageRequest::Op::kUpload) {
-    fused.payload = BlockBuffer(conn->ns.block_size());
-    fused.payload.Reserve(total);
-  }
-  for (const GroupItem& item : items) {
-    fused.indices.insert(fused.indices.end(), item.indices.begin(),
-                         item.indices.end());
-    for (size_t b = 0; b < item.payload.size(); ++b) {
-      fused.payload.Append(item.payload[b]);
+  if (items.size() == 1) {
+    fused.indices = std::move(items[0].indices);
+    fused.payload = std::move(items[0].payload);
+  } else {
+    uint64_t total = 0;
+    for (const GroupItem& item : items) total += item.count;
+    fused.indices.reserve(total);
+    if (op == StorageRequest::Op::kUpload) {
+      fused.payload = BlockBuffer(conn->ns.block_size());
+      fused.payload.Reserve(total);
+    }
+    for (const GroupItem& item : items) {
+      fused.indices.insert(fused.indices.end(), item.indices.begin(),
+                           item.indices.end());
+      for (size_t b = 0; b < item.payload.size(); ++b) {
+        fused.payload.Append(item.payload[b]);
+      }
     }
   }
   StatusOr<StorageReply> reply = engine_->ExecuteBatch(tid, conn->ns, fused);

@@ -140,6 +140,8 @@ class BlockBuffer {
 
   /// All payload bytes, in block order.
   BlockView AllBytes() const { return {data_.get(), bytes()}; }
+  /// Writable view of all payload bytes; same lifetime rules as Mutable.
+  MutableBlockView MutableBytes() { return {data_.get(), bytes()}; }
 
   /// Appends one uninitialized block and returns its view (valid until the
   /// next append/clear). Requires block_size() > 0.

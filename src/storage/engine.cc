@@ -533,38 +533,31 @@ StatusOr<StorageReply> StorageEngine::ExecuteValidated(
 }
 
 Status StorageEngine::SetArray(const NamespaceHandle& ns,
-                               const std::vector<Block>& blocks) {
+                               const BlockBuffer& array) {
   DPSTORE_CHECK(ns.valid());
   NamespaceHandle::State* state = ns.state_;
-  if (blocks.size() != state->n) {
+  if (array.size() != state->n) {
     return InvalidArgumentError("SetArray: wrong block count");
   }
-  for (const Block& b : blocks) {
-    if (b.size() != state->block_size) {
-      return InvalidArgumentError("SetArray: block size mismatch");
-    }
+  if (!array.empty() &&
+      (array.ragged() || array.block_size() != state->block_size)) {
+    return InvalidArgumentError("SetArray: block size mismatch");
   }
+  const size_t bytes = state->n * state->block_size;
   uint64_t lsn = 0;
   {
-    StripeLockSet held(state,
-                       state->stripe_count >= 64
-                           ? ~uint64_t{0}
-                           : (uint64_t{1} << state->stripe_count) - 1);
-    for (uint64_t i = 0; i < state->n; ++i) {
-      CopyBytes(state->Slot(i), blocks[i].data(), state->block_size);
-    }
-    if (journal_ != nullptr && !state->is_private && state->n > 0 &&
-        state->block_size > 0) {
-      // Apply-then-append, unlike uploads: the incoming blocks are not
-      // contiguous, and the freshly written arena is — journal the image.
-      // On append failure memory is already updated but the caller sees
-      // the error and the setup phase retries from scratch.
+    StripeLockSet held(state, AllStripesMask(*state));
+    if (journal_ != nullptr && !state->is_private && bytes > 0) {
+      // Write-ahead, like uploads: the image is journaled from the
+      // caller's flat buffer before the arena changes, so an append
+      // failure (e.g. a record past the cap) leaves memory untouched.
       DPSTORE_ASSIGN_OR_RETURN(
           lsn, journal_->Append(state->id, persist::JournalOp::kSetArray,
                                 static_cast<uint32_t>(state->block_size),
-                                state->n, nullptr, state->base,
-                                state->n * state->block_size));
+                                state->n, nullptr, array.AllBytes().data(),
+                                bytes));
     }
+    CopyBytes(state->base, array.AllBytes().data(), bytes);
   }
   if (lsn != 0 && persist_.sync_uploads) {
     DPSTORE_RETURN_IF_ERROR(journal_->Sync(lsn));
@@ -649,7 +642,7 @@ EngineBackend::EngineBackend(std::shared_ptr<StorageEngine> engine,
 }
 
 Status EngineBackend::SetArray(std::vector<Block> blocks) {
-  return engine_->SetArray(ns_, blocks);
+  return engine_->SetArray(ns_, BlockBuffer::Pack(blocks));
 }
 
 Block EngineBackend::PeekBlock(BlockId index) const {

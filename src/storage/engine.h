@@ -186,8 +186,11 @@ class StorageEngine : public std::enable_shared_from_this<StorageEngine> {
   StatusOr<StorageReply> ExecuteBatch(unsigned tid, const NamespaceHandle& ns,
                                       const StorageRequest& request);
 
-  /// Whole-arena replacement (setup phase; see StorageBackend::SetArray).
-  Status SetArray(const NamespaceHandle& ns, const std::vector<Block>& blocks);
+  /// Whole-arena replacement (setup phase; see StorageBackend::SetArray)
+  /// from the flat image `array`: n blocks of the namespace's block size,
+  /// copied into the contiguous arena in one pass. On a persistent
+  /// namespace the image is journaled first, straight from `array`.
+  Status SetArray(const NamespaceHandle& ns, const BlockBuffer& array);
 
   /// Unrecorded single-block read (test assertions / public-database
   /// knowledge). OutOfRange when index >= n.

@@ -3,6 +3,7 @@
 #include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -350,12 +351,11 @@ Status Journal::ContinueSegment(const std::string& path, uint64_t seq,
   return OkStatus();
 }
 
-Status Journal::WriteAll(const uint8_t* buf, size_t len) {
-  while (len > 0) {
-    ssize_t w = io::WriteEintr(fd_, buf, len);
-    if (w < 0) return Errno("write", dir_ + "/" + SegmentName(segment_seq_));
-    buf += w;
-    len -= static_cast<size_t>(w);
+Status Journal::WriteAll(struct iovec* iov, int iovcnt) {
+  while (iovcnt > 0) {
+    ssize_t w = io::WritevEintr(fd_, iov, iovcnt);
+    if (w < 0) return Errno("writev", dir_ + "/" + SegmentName(segment_seq_));
+    io::AdvanceIov(&iov, &iovcnt, static_cast<size_t>(w));
   }
   return OkStatus();
 }
@@ -393,11 +393,22 @@ StatusOr<uint64_t> Journal::Append(uint64_t namespace_id, JournalOp op,
                                    const uint64_t* indices,
                                    const uint8_t* payload,
                                    size_t payload_len) {
-  const uint64_t index_bytes =
-      (op == JournalOp::kSetArray) ? 0 : count * 8;
-  const uint64_t body_len = kJournalRecordFixedBytes + index_bytes +
-                            payload_len;
-  DPSTORE_CHECK(body_len <= kMaxJournalRecordBytes);
+  // A record past the cap is refused, never written: replay would reject
+  // its length as implausible and stop there, silently dropping it and
+  // every later record. Checked in steps so no operand can overflow.
+  const bool has_indices = op != JournalOp::kSetArray;
+  if ((has_indices && count > kMaxJournalRecordBytes / 8) ||
+      payload_len > kMaxJournalRecordBytes ||
+      kJournalRecordFixedBytes + (has_indices ? count * 8 : 0) +
+              payload_len >
+          kMaxJournalRecordBytes) {
+    return InvalidArgumentError(
+        "journal: record of " + std::to_string(count) + " blocks, " +
+        std::to_string(payload_len) + " payload bytes exceeds the " +
+        std::to_string(kMaxJournalRecordBytes) + "-byte record cap");
+  }
+  const size_t index_bytes = has_indices ? static_cast<size_t>(count) * 8 : 0;
+  const size_t body_len = kJournalRecordFixedBytes + index_bytes + payload_len;
 
   std::unique_lock<std::mutex> lk(append_mu_);
   if (segment_bytes_ >= options_.journal_segment_bytes) {
@@ -405,9 +416,12 @@ StatusOr<uint64_t> Journal::Append(uint64_t namespace_id, JournalOp op,
     if (!st.ok()) return st;
   }
 
+  // Only the frame prefix, fixed body and indices are serialized; the
+  // payload goes to the file straight from the caller's memory (second
+  // writev leg) and the CRC is extended over it in place.
   const uint64_t lsn = next_lsn_;
-  const size_t total = 8 + static_cast<size_t>(body_len);
-  if (scratch_.size() < total) scratch_.resize(total);
+  const size_t head_len = 8 + kJournalRecordFixedBytes + index_bytes;
+  if (scratch_.size() < head_len) scratch_.resize(head_len);
   uint8_t* frame = scratch_.data();
   uint8_t* body = frame + 8;
   PutU64(body + kRecOffLsn, lsn);
@@ -417,15 +431,22 @@ StatusOr<uint64_t> Journal::Append(uint64_t namespace_id, JournalOp op,
   PutU32(body + kRecOffBlockSize, block_size);
   PutU64(body + kRecOffCount, count);
   uint8_t* tail = body + kJournalRecordFixedBytes;
-  for (uint64_t i = 0; i < (index_bytes / 8); ++i) {
+  for (size_t i = 0; i < index_bytes / 8; ++i) {
     PutU64(tail + i * 8, indices[i]);
   }
-  if (payload_len > 0) std::memcpy(tail + index_bytes, payload, payload_len);
+  uint32_t crc = crc32c::Crc32c(body, head_len - 8);
+  if (payload_len > 0) crc = crc32c::Extend(crc, payload, payload_len);
   PutU32(frame, static_cast<uint32_t>(body_len));
-  PutU32(frame + 4, crc32c::Crc32c(body, static_cast<size_t>(body_len)));
+  PutU32(frame + 4, crc);
 
-  Status st = WriteAll(frame, total);
+  struct iovec iov[2];
+  iov[0].iov_base = frame;
+  iov[0].iov_len = head_len;
+  iov[1].iov_base = const_cast<uint8_t*>(payload);
+  iov[1].iov_len = payload_len;
+  Status st = WriteAll(iov, payload_len > 0 ? 2 : 1);
   if (!st.ok()) return st;
+  const size_t total = 8 + body_len;
   next_lsn_ = lsn + 1;
   segment_bytes_ += total;
   ++journal_appends_;

@@ -35,6 +35,8 @@
 /// server's exchange-fusion seam lines fused uploads up behind one
 /// leader, so a fused batch costs one fdatasync.
 
+#include <sys/uio.h>
+
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
@@ -55,8 +57,12 @@ inline constexpr uint32_t kJournalFormatVersion = 1;
 inline constexpr size_t kJournalSegmentHeaderBytes = 32;
 /// Fixed-size prefix of every record body (before indices/payload).
 inline constexpr size_t kJournalRecordFixedBytes = 32;
-/// Cap on a single record's body length; matches the wire codec's frame
-/// cap so no well-formed exchange can exceed it.
+/// Cap on a single record's body length. It equals the wire codec's frame
+/// cap, and a record body has the same 32-byte fixed prefix as a frame,
+/// so one upload frame always fits in one record. But the server fuses
+/// many upload frames into ONE record, which can pass the cap: Append
+/// refuses such a record with InvalidArgument, and the server's fusion
+/// stops harvesting before a group's record would pass it.
 inline constexpr uint32_t kMaxJournalRecordBytes = uint32_t{1} << 30;
 
 /// Journal ops. Values are part of the on-disk format.
@@ -115,8 +121,12 @@ class Journal {
   /// while holding engine stripe locks: Append only blocks on fsync at
   /// segment rotation, amortized over journal_segment_bytes.
   ///
-  /// Zero steady-state allocations: the record is encoded into a scratch
-  /// buffer that only grows when a record exceeds every prior record.
+  /// The record goes to the file in one writev: the frame prefix, fixed
+  /// body and indices from a scratch buffer, the payload straight from
+  /// `payload` (never staged). Zero steady-state allocations: the scratch
+  /// only grows when a record carries more indices than every prior one.
+  /// InvalidArgument, with nothing written and no LSN consumed, when the
+  /// record body would exceed kMaxJournalRecordBytes.
   StatusOr<uint64_t> Append(uint64_t namespace_id, JournalOp op,
                             uint32_t block_size, uint64_t count,
                             const uint64_t* indices, const uint8_t* payload,
@@ -147,7 +157,7 @@ class Journal {
   Status ContinueSegment(const std::string& path, uint64_t seq,
                          uint64_t bytes);
   Status RotateLocked(std::unique_lock<std::mutex>& append_lk);
-  Status WriteAll(const uint8_t* buf, size_t len);
+  Status WriteAll(struct iovec* iov, int iovcnt);
   Status SyncDir();
 
   const std::string dir_;

@@ -5,6 +5,8 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <utility>
 
@@ -161,9 +163,17 @@ EncodedFrame EncodeSetArray(const BlockBuffer& array, uint64_t ticket) {
   return frame;
 }
 
-StatusOr<DecodedFrame> DecodeFrame(BlockView bytes) {
-  if (bytes.size() < kHeaderBytes) return TruncatedError("header");
-  const uint8_t* p = bytes.data();
+namespace {
+
+/// Validates a frame's fixed header at `p` against the frame's total
+/// `length` (header + indices + payload, without the u32 prefix) and
+/// returns the frame with its body destinations sized but not yet filled:
+/// `indices`, `payload` and `message` hold exactly the bytes the body
+/// carries. Every body size is a function of the header and `length`
+/// alone, so this is the decoder's whole validation; DecodeFrame and
+/// ReadFrame share it. `p` must hold min(length, kHeaderBytes) bytes.
+StatusOr<DecodedFrame> DecodeHeader(const uint8_t* p, size_t length) {
+  if (length < kHeaderBytes) return TruncatedError("header");
   DecodedFrame frame;
   FrameHeader& header = frame.header;
   header.version = p[0];
@@ -184,8 +194,7 @@ StatusOr<DecodedFrame> DecodeFrame(BlockView bytes) {
   header.count = GetU64(p + 12);
   header.block_size = GetU32(p + 20);
   header.aux = GetU64(p + 24);
-  const size_t rest = bytes.size() - kHeaderBytes;
-  const uint8_t* tail = p + kHeaderBytes;
+  const size_t rest = length - kHeaderBytes;
 
   // Every type's body size is fully determined by the header; a mismatch
   // with the actual frame length is a corrupt (or hostile) frame. Checking
@@ -205,7 +214,6 @@ StatusOr<DecodedFrame> DecodeFrame(BlockView bytes) {
           return TruncatedError("dpf key payload");
         }
         frame.payload = BlockBuffer::Uninitialized(1, header.block_size);
-        CopyBytes(frame.payload.Mutable(0).data(), tail, rest);
         return frame;
       }
       const bool upload = header.code == 1;
@@ -222,14 +230,9 @@ StatusOr<DecodedFrame> DecodeFrame(BlockView bytes) {
         return InvalidArgumentError("wire: download request carries payload");
       }
       frame.indices.resize(header.count);
-      for (uint64_t i = 0; i < header.count; ++i) {
-        frame.indices[i] = GetU64(tail + i * 8);
-      }
       if (upload && header.count > 0) {
         frame.payload =
             BlockBuffer::Uninitialized(header.count, header.block_size);
-        CopyBytes(frame.payload.Mutable(0).data(), tail + index_bytes,
-                  payload_bytes);
       }
       return frame;
     }
@@ -249,7 +252,6 @@ StatusOr<DecodedFrame> DecodeFrame(BlockView bytes) {
       if (header.count > 0) {
         frame.payload =
             BlockBuffer::Uninitialized(header.count, header.block_size);
-        CopyBytes(frame.payload.Mutable(0).data(), tail, rest);
       }
       return frame;
     }
@@ -260,7 +262,7 @@ StatusOr<DecodedFrame> DecodeFrame(BlockView bytes) {
         return InvalidArgumentError("wire: error frame with bad status code " +
                                     std::to_string(header.code));
       }
-      frame.message.assign(reinterpret_cast<const char*>(tail), rest);
+      frame.message.resize(rest);
       return frame;
     }
     case FrameType::kOpen:
@@ -285,6 +287,44 @@ StatusOr<DecodedFrame> DecodeFrame(BlockView bytes) {
     }
   }
   return InternalError("wire: unreachable frame type");
+}
+
+/// The destinations of a frame's body bytes, in wire order: the index
+/// area (raw little-endian bytes until IndicesFromWire), then the payload
+/// or the error message. Together they are exactly the body DecodeHeader
+/// sized.
+std::array<MutableBlockView, 2> BodySpans(DecodedFrame* frame) {
+  const MutableBlockView indices(
+      reinterpret_cast<uint8_t*>(frame->indices.data()),
+      frame->indices.size() * sizeof(BlockId));
+  if (!frame->message.empty()) {
+    return {indices,
+            MutableBlockView(reinterpret_cast<uint8_t*>(frame->message.data()),
+                             frame->message.size())};
+  }
+  return {indices, frame->payload.MutableBytes()};
+}
+
+/// Converts an index area filled with raw wire bytes to host order in
+/// place (the identity on a little-endian host).
+void IndicesFromWire(std::vector<BlockId>* indices) {
+  for (BlockId& index : *indices) {
+    index = GetU64(reinterpret_cast<const uint8_t*>(&index));
+  }
+}
+
+}  // namespace
+
+StatusOr<DecodedFrame> DecodeFrame(BlockView bytes) {
+  DPSTORE_ASSIGN_OR_RETURN(DecodedFrame frame,
+                           DecodeHeader(bytes.data(), bytes.size()));
+  const uint8_t* tail = bytes.data() + kHeaderBytes;
+  for (MutableBlockView span : BodySpans(&frame)) {
+    CopyBytes(span.data(), tail, span.size());
+    tail += span.size();
+  }
+  IndicesFromWire(&frame.indices);
+  return frame;
 }
 
 Status WriteFrame(int fd, const EncodedFrame& frame) {
@@ -316,16 +356,7 @@ Status WriteFrame(int fd, const EncodedFrame& frame) {
       return UnavailableError(std::string("wire: write failed: ") +
                               std::strerror(errno));
     }
-    size_t remaining = static_cast<size_t>(wrote);
-    while (iovcnt > 0 && remaining >= cursor->iov_len) {
-      remaining -= cursor->iov_len;
-      ++cursor;
-      --iovcnt;
-    }
-    if (iovcnt > 0) {
-      cursor->iov_base = static_cast<uint8_t*>(cursor->iov_base) + remaining;
-      cursor->iov_len -= remaining;
-    }
+    io::AdvanceIov(&cursor, &iovcnt, static_cast<size_t>(wrote));
   }
   return OkStatus();
 }
@@ -353,6 +384,21 @@ Status ReadExactly(int fd, uint8_t* out, size_t len, bool clean_eof_ok) {
   return OkStatus();
 }
 
+/// Fills every byte of `iov[0..iovcnt)`, looping on short reads. Only
+/// ever called mid-frame, so any EOF is DataLoss.
+Status ReadvExactly(int fd, struct iovec* iov, int iovcnt) {
+  while (iovcnt > 0) {
+    const ssize_t n = io::ReadvEintr(fd, iov, iovcnt);
+    if (n < 0) {
+      return UnavailableError(std::string("wire: read failed: ") +
+                              std::strerror(errno));
+    }
+    if (n == 0) return DataLossError("wire: connection closed mid-frame");
+    io::AdvanceIov(&iov, &iovcnt, static_cast<size_t>(n));
+  }
+  return OkStatus();
+}
+
 }  // namespace
 
 StatusOr<DecodedFrame> ReadFrame(int fd, std::vector<uint8_t>* scratch) {
@@ -364,10 +410,40 @@ StatusOr<DecodedFrame> ReadFrame(int fd, std::vector<uint8_t>* scratch) {
     return DataLossError("wire: frame length " + std::to_string(length) +
                          " exceeds cap");
   }
-  if (scratch->size() < length) scratch->resize(length);
+  // The scratch holds at most one buffer's worth of any frame. It grows
+  // only when a frame needs more of it (doubling, capped at the buffer
+  // size; the old bytes are dead, so nothing is copied): a bulk load
+  // leaves at most kReadBufferBytes behind, and a connection of small
+  // frames keeps a small buffer.
+  const size_t buffered = std::min<size_t>(length, kReadBufferBytes);
+  if (scratch->size() < buffered) {
+    *scratch = std::vector<uint8_t>(std::min(
+        kReadBufferBytes, std::max(buffered, 2 * scratch->size())));
+  }
   DPSTORE_RETURN_IF_ERROR(
-      ReadExactly(fd, scratch->data(), length, /*clean_eof_ok=*/false));
-  return DecodeFrame(BlockView(scratch->data(), length));
+      ReadExactly(fd, scratch->data(), buffered, /*clean_eof_ok=*/false));
+  // Validate the header, copy the body bytes already buffered into the
+  // frame's own storage, and read any rest of the body straight there with
+  // readv over the index and payload tails. A frame that fit in the buffer
+  // leaves nothing to read, so it costs two reads (prefix, body) in all.
+  DPSTORE_ASSIGN_OR_RETURN(DecodedFrame frame,
+                           DecodeHeader(scratch->data(), length));
+  BlockView have(scratch->data() + kHeaderBytes, buffered - kHeaderBytes);
+  struct iovec iov[2];
+  int iovcnt = 0;
+  for (MutableBlockView span : BodySpans(&frame)) {
+    const size_t taken = std::min(have.size(), span.size());
+    CopyBytes(span.data(), have.data(), taken);
+    have = have.subspan(taken);
+    if (span.size() > taken) {
+      iov[iovcnt].iov_base = span.data() + taken;
+      iov[iovcnt].iov_len = span.size() - taken;
+      ++iovcnt;
+    }
+  }
+  DPSTORE_RETURN_IF_ERROR(ReadvExactly(fd, iov, iovcnt));
+  IndicesFromWire(&frame.indices);
+  return frame;
 }
 
 }  // namespace wire

@@ -13,7 +13,7 @@
 ///
 /// Framing: every message is one frame,
 ///
-///   [u32 length][FrameHeader (28 bytes)][count * u64 indices][payload]
+///   [u32 length][FrameHeader (32 bytes)][count * u64 indices][payload]
 ///
 /// where `length` counts every byte after itself and all integers are
 /// little-endian. The payload of an upload request / blocks reply is the
@@ -55,6 +55,13 @@ inline constexpr uint8_t kMinWireVersion = 1;
 /// (64 MiB) with room to grow.
 inline constexpr uint64_t kMaxFrameBytes = uint64_t{1} << 30;
 
+/// Bytes of each frame that ReadFrame reads into its caller's scratch
+/// buffer: the header is validated from there and the rest of the body
+/// read straight into the decoded frame's own storage. So the scratch
+/// never holds more than this, whatever the largest frame a connection has
+/// seen.
+inline constexpr size_t kReadBufferBytes = size_t{64} << 10;
+
 /// Frame types. Requests flow client -> server, replies server -> client;
 /// every request frame gets exactly one reply frame with the same ticket.
 enum class FrameType : uint8_t {
@@ -87,7 +94,7 @@ enum class FrameType : uint8_t {
   kCorrupt = 7,
 };
 
-/// The fixed header of every frame, after the u32 length prefix. 28 bytes
+/// The fixed header of every frame, after the u32 length prefix. 32 bytes
 /// on the wire, little-endian, laid out field by field (no struct
 /// memcpy — the encoder/decoder serialize explicitly so padding and host
 /// endianness never leak into the format).
@@ -122,8 +129,8 @@ struct EncodedFrame {
   BlockView body;
 };
 
-/// One decoded frame. Indices/payload/message are owned copies (the
-/// reader's scratch buffer is reused across frames).
+/// One decoded frame. Indices/payload/message are owned storage, never
+/// views of the reader's scratch buffer (which is reused across frames).
 struct DecodedFrame {
   FrameHeader header;
   std::vector<BlockId> indices;
@@ -180,8 +187,15 @@ StatusOr<DecodedFrame> DecodeFrame(BlockView bytes);
 /// Unavailable on EOF/EPIPE or I/O error.
 Status WriteFrame(int fd, const EncodedFrame& frame);
 
-/// Reads one length-prefixed frame body from `fd` into `*scratch` (resized
-/// as needed, reused across calls) and returns the decoded frame.
+/// Reads one length-prefixed frame from `fd` and returns the decoded
+/// frame. `*scratch` is the connection's read buffer, reused across calls:
+/// it grows only when a frame needs more of it, and never past
+/// kReadBufferBytes. A frame's first min(length, kReadBufferBytes) bytes
+/// are read into it and validated by DecodeFrame's own header check; the
+/// body bytes among them are copied into the frame, and the rest of its
+/// indices and payload are read in place (readv), so the same bytes give
+/// the same Status as DecodeFrame. A frame of at most kReadBufferBytes
+/// takes two reads (prefix, body).
 /// NotFound("connection closed") on clean EOF at a frame boundary;
 /// DataLoss on mid-frame EOF or a length prefix exceeding kMaxFrameBytes;
 /// Unavailable on I/O error.

@@ -54,6 +54,29 @@ inline ssize_t PwriteEintr(int fd, const void* buf, size_t len, off_t offset) {
   }
 }
 
+/// Advances a vectored transfer past `done` bytes: drops the legs that
+/// completed and trims the first partial one. The bookkeeping every caller
+/// that loops readv/writev/sendmsg over short transfers shares.
+inline void AdvanceIov(struct iovec** iov, int* iovcnt, size_t done) {
+  while (*iovcnt > 0 && done >= (*iov)->iov_len) {
+    done -= (*iov)->iov_len;
+    ++*iov;
+    --*iovcnt;
+  }
+  if (*iovcnt > 0) {
+    (*iov)->iov_base = static_cast<char*>((*iov)->iov_base) + done;
+    (*iov)->iov_len -= done;
+  }
+}
+
+inline ssize_t ReadvEintr(int fd, const struct iovec* iov, int iovcnt) {
+  for (;;) {
+    ssize_t n = ::readv(fd, iov, iovcnt);
+    if (n < 0 && errno == EINTR) continue;
+    return n;
+  }
+}
+
 inline ssize_t WritevEintr(int fd, const struct iovec* iov, int iovcnt) {
   for (;;) {
     ssize_t n = ::writev(fd, iov, iovcnt);

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -260,6 +261,101 @@ TEST(CrashRecoveryTest, PrivateNamespacesLeaveNoStaleFiles) {
   EXPECT_TRUE(ArenaFiles(dir.path).empty())
       << "private namespaces must never persist";
   std::remove(socket_path.c_str());
+}
+
+// Sanitizer allocators (ASan's quarantine, TSan's shadow) keep freed
+// memory resident, so a peak-memory bound measures them, not the server.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizedAllocator = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizedAllocator = true;
+#else
+constexpr bool kSanitizedAllocator = false;
+#endif
+#else
+constexpr bool kSanitizedAllocator = false;
+#endif
+
+/// Peak resident set (VmHWM) of process `pid` in KiB, or -1.
+long PeakRssKiB(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+TEST(CrashRecoveryTest, BulkLoadPeakMemoryIsArenasPlusOneArray) {
+  // Two 32 MiB namespaces bulk-loaded one after the other (both clients
+  // stay connected): the server's peak may grow by the two arenas plus
+  // the one array in flight, and 8 MiB of slack — no per-connection read
+  // buffer sized to the largest frame, no per-block copy of the array,
+  // no journal staging copy of it.
+  const std::string bin = test::ServerBinary();
+  if (bin.empty()) {
+    GTEST_SKIP() << "set DPSTORE_SERVER_BIN to run the peak-memory test";
+  }
+  constexpr uint64_t kLoadN = 8192;
+  constexpr size_t kLoadBlockSize = 4096;
+  constexpr long kArrayKiB = kLoadN * kLoadBlockSize / 1024;
+  constexpr long kBoundKiB = 2 * kArrayKiB + kArrayKiB + 8 * 1024;
+  for (bool durable : {false, true}) {
+    SCOPED_TRACE(durable ? "--data-dir" : "in memory");
+    TempDir dir;
+    const std::string socket_path = "/tmp/dpstore_peak_" +
+                                    std::to_string(getpid()) +
+                                    (durable ? "_d" : "_m") + ".sock";
+    std::vector<std::string> args = {"--threads", "2"};
+    if (durable) args.insert(args.end(), {"--data-dir", dir.path});
+    const pid_t pid = test::SpawnServer(bin, socket_path, args);
+    ASSERT_GT(pid, 0);
+    const long idle = PeakRssKiB(pid);
+    ASSERT_GT(idle, 0);
+
+    auto array = [](uint64_t ns) {
+      std::vector<Block> blocks(kLoadN);
+      for (uint64_t i = 0; i < kLoadN; ++i) {
+        blocks[i] = MarkerBlock(ns * kLoadN + i, kLoadBlockSize);
+      }
+      return blocks;
+    };
+    std::vector<std::unique_ptr<SocketBackend>> clients;
+    for (uint64_t ns = 1; ns <= 2; ++ns) {
+      SocketBackendOptions options;
+      options.socket_path = socket_path;
+      options.namespace_id = 100 + ns;
+      options.attach_or_create = true;
+      clients.push_back(
+          std::make_unique<SocketBackend>(kLoadN, kLoadBlockSize, options));
+      ASSERT_TRUE(clients.back()->SetArray(array(ns)).ok());
+    }
+    const long grown = PeakRssKiB(pid) - idle;
+    std::printf("bulk-load peak growth (%s): %.1f MiB, bound %.1f MiB\n",
+                durable ? "durable" : "in memory", grown / 1024.0,
+                kBoundKiB / 1024.0);
+    if (kSanitizedAllocator) {
+      std::printf("sanitizer allocator: peak-memory bound not checked\n");
+    } else {
+      EXPECT_LE(grown, kBoundKiB);
+    }
+
+    // The arrays landed intact — read back after the measurement, since a
+    // whole-arena reply is itself an array in flight.
+    std::vector<BlockId> all(kLoadN);
+    for (uint64_t i = 0; i < kLoadN; ++i) all[i] = i;
+    for (uint64_t ns = 1; ns <= 2; ++ns) {
+      auto got = clients[ns - 1]->DownloadMany(all);
+      ASSERT_TRUE(got.ok()) << got.status();
+      for (uint64_t i = 0; i < kLoadN; ++i) {
+        ASSERT_TRUE(IsMarkerBlock((*got)[i], ns * kLoadN + i)) << i;
+      }
+    }
+    clients.clear();
+    test::StopServer(pid);
+    std::remove(socket_path.c_str());
+  }
 }
 
 }  // namespace

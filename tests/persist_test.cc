@@ -10,6 +10,7 @@
 // lives in crash_recovery_test.cc.
 
 #include <dirent.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -29,6 +30,7 @@
 #include "storage/engine.h"
 #include "storage/persist/journal.h"
 #include "storage/persist/mmap_arena.h"
+#include "storage/wire.h"
 #include "util/crc32c.h"
 
 namespace dpstore {
@@ -319,6 +321,62 @@ TEST(JournalTest, AppendSyncReplayRoundtrip) {
   EXPECT_EQ(*lsn, 4u);
 }
 
+TEST(JournalTest, RecordPastTheCapIsRefusedNotWritten) {
+  // Records past kMaxJournalRecordBytes must come back as InvalidArgument
+  // with nothing written and no LSN used, never abort the process. The
+  // oversized payloads point into a MAP_NORESERVE mapping that is never
+  // touched: the cap is checked before any payload byte is read.
+  TempDir dir;
+  PersistOptions options;
+  options.data_dir = dir.path;
+  auto journal = Journal::Open(dir.path, options, 1, NoReplayExpected);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  const size_t span = size_t{kMaxJournalRecordBytes} + 4096;
+  void* mapped = mmap(nullptr, span, PROT_READ,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ASSERT_NE(mapped, MAP_FAILED);
+  const auto* huge = static_cast<const uint8_t*>(mapped);
+  std::vector<uint64_t> indices(256, 0);
+
+  // A set_array image one byte past the cap.
+  const size_t image = kMaxJournalRecordBytes - kJournalRecordFixedBytes + 1;
+  auto lsn = (*journal)->Append(11, JournalOp::kSetArray, 1, image, nullptr,
+                                huge, image);
+  EXPECT_EQ(lsn.status().code(), StatusCode::kInvalidArgument);
+  // A record body and a frame body share one 32-byte fixed prefix, so a
+  // single upload frame at the wire cap makes a record exactly at the
+  // record cap; one block byte more is refused.
+  const uint32_t at_cap = static_cast<uint32_t>(
+      wire::kMaxFrameBytes - wire::kHeaderBytes - sizeof(uint64_t));
+  EXPECT_EQ(kJournalRecordFixedBytes + sizeof(uint64_t) + at_cap,
+            kMaxJournalRecordBytes);
+  lsn = (*journal)->Append(11, JournalOp::kUpload, at_cap + 1, 1,
+                           indices.data(), huge, at_cap + 1);
+  EXPECT_EQ(lsn.status().code(), StatusCode::kInvalidArgument);
+  // 256 fused uploads of 4 MiB blocks: one record of 1 GiB + indices.
+  const uint32_t block = 4u << 20;
+  EXPECT_GT(kJournalRecordFixedBytes + 256 * (sizeof(uint64_t) + block),
+            kMaxJournalRecordBytes);
+  lsn = (*journal)->Append(11, JournalOp::kUpload, block, 256, indices.data(),
+                           huge, size_t{256} * block);
+  EXPECT_EQ(lsn.status().code(), StatusCode::kInvalidArgument);
+  // A forged count cannot overflow the size arithmetic into a pass.
+  lsn = (*journal)->Append(11, JournalOp::kUpload, 8, uint64_t{1} << 61,
+                           indices.data(), huge, 0);
+  EXPECT_EQ(lsn.status().code(), StatusCode::kInvalidArgument);
+  munmap(mapped, span);
+
+  EXPECT_EQ((*journal)->last_lsn(), 0u);
+  EXPECT_EQ((*journal)->SnapshotCounters().journal_appends, 0u);
+  std::vector<ReplayedRecord> model = AppendWorkload(journal->get());
+  EXPECT_EQ(model[0].lsn, 1u);  // the refusals consumed no LSN
+  journal->reset();
+  std::vector<ReplayedRecord> replayed;
+  auto reopened = Journal::Open(dir.path, options, 1, Collect(&replayed));
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  ExpectRecordsEqual(replayed, model, model.size());
+}
+
 TEST(JournalTest, MinNextLsnFloorsAFreshJournal) {
   TempDir dir;
   PersistOptions options;
@@ -555,7 +613,7 @@ std::vector<Block> RunEngineWorkload(StorageEngine* engine,
                                      NamespaceHandle* ns) {
   std::vector<Block> model(kEngN);
   for (uint64_t i = 0; i < kEngN; ++i) model[i] = MarkerBlock(i, kEngBs);
-  EXPECT_TRUE(engine->SetArray(*ns, model).ok());
+  EXPECT_TRUE(engine->SetArray(*ns, BlockBuffer::Pack(model)).ok());
   const std::vector<BlockId> indices = {1, 5, 5, 30};
   std::vector<Block> blocks;
   for (size_t i = 0; i < indices.size(); ++i) {
