@@ -28,7 +28,6 @@
 #include "analysis/driver.h"
 #include "analysis/workload.h"
 #include "core/scheme_registry.h"
-#include "storage/fusing_backend.h"
 #include "storage/server.h"
 #include "storage/write_back_cache.h"
 #include "util/check.h"
@@ -348,69 +347,6 @@ int SweepPipeline() {
   return cells;
 }
 
-// --- Exchange fusion ---------------------------------------------------------
-
-/// Records a DP-RAM-retrieval transcript — a long run of small same-
-/// direction download exchanges, the shape where per-exchange overhead
-/// dominates — and replays it through the FusingBackend at growing block
-/// budgets. Fusion trades inner roundtrips for batch size: the adversary's
-/// view (the decorator transcript, the transport stats, the reply hash) is
-/// budget-invariant by contract; only the inner wire schedule and the
-/// wall-clock move.
-int SweepFusion() {
-  SchemeConfig config;
-  config.n = uint64_t{1} << 12;
-  config.value_size = kRecordSize;
-  config.seed = 424242;
-  std::vector<StorageBackend*> observed;
-  config.backend_factory = [&observed](uint64_t n, size_t block_size) {
-    auto backend = std::make_unique<StorageServer>(n, block_size);
-    observed.push_back(backend.get());
-    return backend;
-  };
-  auto scheme = SchemeRegistry::Instance().MakeRam("dp_ram_retrieval", config);
-  DPSTORE_CHECK_OK(scheme.status());
-  Rng rng(config.seed);
-  auto workload = MakeRamWorkload("uniform", &rng, config.n, 256,
-                                  /*write_fraction=*/0.0);
-  DPSTORE_CHECK_OK(workload.status());
-  DPSTORE_CHECK_OK(RunRamWorkload(scheme->get(), *workload).status());
-  DPSTORE_CHECK(!observed.empty());
-  StorageBackend* recorded = observed[0];
-  std::vector<StorageRequest> plan = ExchangePlanFromTranscript(
-      recorded->transcript(), recorded->block_size());
-
-  int cells = 0;
-  for (uint64_t budget : {uint64_t{1}, uint64_t{4}, uint64_t{16},
-                          uint64_t{64}}) {
-    FusingBackend backend(
-        std::make_unique<StorageServer>(recorded->n(),
-                                        recorded->block_size()),
-        budget);
-    auto report = RunExchangePipeline(&backend, plan, /*depth=*/16);
-    DPSTORE_CHECK_OK(report.status());
-    bench::BenchJson json("throughput_fusion_b" + std::to_string(budget));
-    json.Metric("scheme", std::string("dp_ram_retrieval_replay"));
-    json.Metric("fuse_blocks", budget);
-    json.Metric("exchanges_in", backend.exchanges_in());
-    json.Metric("fused_out", backend.fused_out());
-    json.Metric("inner_roundtrips",
-                backend.inner().transcript().roundtrip_count());
-    json.Metric("adversary_roundtrips", report->transport.roundtrips);
-    json.Metric("blocks", report->transport.blocks_moved);
-    json.Metric("replay_wall_ms", report->wall_ms);
-    json.Metric("ms_per_exchange", report->MsPerExchange());
-    json.Metric("wan_ms_modeled_inner",
-                kWanModel.TranscriptLatencyMs(backend.inner().transcript()));
-    json.Metric("wan_ms_modeled_adversary",
-                kWanModel.StatsLatencyMs(report->transport));
-    json.Metric("reply_hash", report->reply_hash);
-    json.Emit();
-    ++cells;
-  }
-  return cells;
-}
-
 // --- Raw transport batches ---------------------------------------------------
 
 std::unique_ptr<StorageBackend> MakeTransportBackend(
@@ -466,7 +402,6 @@ int main() {
   cells += dpstore::SweepScale();
   cells += dpstore::SweepSocket();
   cells += dpstore::SweepPipeline();
-  cells += dpstore::SweepFusion();
   cells += dpstore::SweepTransportBatches();
   json.Metric("cells", cells);
   json.Emit();

@@ -20,7 +20,6 @@
 #include "pir/trivial_pir.h"
 #include "pir/xor_pir.h"
 #include "storage/cluster.h"
-#include "storage/fusing_backend.h"
 #include "storage/retrying_backend.h"
 #include "storage/socket_backend.h"
 #include "storage/write_back_cache.h"
@@ -195,7 +194,7 @@ class XorPirScheme : public RamScheme {
 /// Two-server DPF PIR behind the unified RAM interface: owns both
 /// marker-loaded replica backends, so — unlike xor_pir's bespoke compute
 /// servers — the config's storage topology applies and the eval rides on
-/// memory, sharded, cached, fused or socket transports alike. Transport
+/// memory, sharded, cached or socket transports alike. Transport
 /// totals come straight from the replicas' transcripts: per query per
 /// replica, 1 eval roundtrip, 1 aggregate block down, O(lambda log n)
 /// key bytes up (TransportStats::aux_bytes).
@@ -269,15 +268,6 @@ StatusOr<BackendFactory> BackendFactoryFor(const SchemeConfig& config) {
         config.cache_blocks,
         MemoryBackendFactory(config.counting_only_transcript),
         config.cache_stats);
-  }
-  if (config.backend == "fused") {
-    if (config.fuse_blocks == 0) {
-      return InvalidArgumentError("fused backend needs fuse_blocks >= 1");
-    }
-    return FusingBackendFactory(
-        config.fuse_blocks,
-        MemoryBackendFactory(config.counting_only_transcript),
-        config.fuse_bytes, config.counting_only_transcript);
   }
   if (config.backend == "socket") {
     SocketBackendOptions options;

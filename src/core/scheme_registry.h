@@ -38,9 +38,7 @@ struct SchemeConfig {
   /// StorageServer leg: a K-way contiguous partition of the block array,
   /// same routing law as "cluster" without the processes), "cached"
   /// (WriteBackCacheBackend
-  /// of `cache_blocks` blocks over an in-memory server), "fused"
-  /// (FusingBackend coalescing adjacent same-direction exchanges up to
-  /// `fuse_blocks` blocks over an in-memory server), "socket"
+  /// of `cache_blocks` blocks over an in-memory server), "socket"
   /// (SocketBackend: the real RPC transport — exchanges serialized over a
   /// socket to a dpstore_server at `socket_path` / `socket_host:port`, or
   /// to an in-process socketpair server when neither is set), "cluster"
@@ -53,10 +51,6 @@ struct SchemeConfig {
   uint64_t shards = 4;
   /// Write-back cache capacity in blocks (backend "cached").
   uint64_t cache_blocks = 64;
-  /// Fused-exchange block budget (backend "fused"); 1 = no fusion.
-  uint64_t fuse_blocks = 64;
-  /// Optional fused-exchange byte budget (backend "fused"); 0 = unlimited.
-  uint64_t fuse_bytes = 0;
   /// Unix-domain path of a running dpstore_server (backend "socket").
   std::string socket_path;
   /// Second server process for the genuinely-two-server schemes

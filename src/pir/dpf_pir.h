@@ -22,9 +22,8 @@
 /// Unlike xor_pir's bespoke compute servers, the replicas here are plain
 /// StorageBackends, so the scheme runs unchanged over every topology in
 /// the registry: memory, sharded and cluster (the eval fans out per range
-/// and the partial XORs compose), cached (flushes then scans), fused
-/// (bypasses the queue), and socket (the key crosses the wire to a real
-/// dpstore_server process).
+/// and the partial XORs compose), cached (flushes then scans), and socket
+/// (the key crosses the wire to a real dpstore_server process).
 ///
 /// FAILOVER: the scheme accepts more than two replicas; the extras are
 /// spares. A dead replica fails the in-flight query atomically at Wait

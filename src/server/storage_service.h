@@ -17,11 +17,11 @@
 ///   * a CROSS-CONNECTION BATCH SCHEDULER: a worker draining one
 ///     connection's queue also harvests same-direction request frames
 ///     bound for the SAME namespace from other ready connections and
-///     executes them as one fused engine exchange (the FusingBackend
-///     idea, applied server-side). Each connection still receives
-///     exactly one reply frame per request frame, with its own ticket,
-///     in its own request order — the adversary-view invariant is per
-///     connection and fusion never changes any client's bytes.
+///     executes them as one fused engine exchange. Each connection still
+///     receives exactly one reply frame per request frame, with its own
+///     ticket, in its own request order — the adversary-view invariant is
+///     per connection and fusion never changes any client's bytes
+///     (tests/fusing_backend_test.cc).
 ///
 /// Shared by the dpstore_server binary and by SocketBackend's in-process
 /// fallback (ServeStorageConnection), which serves the same dispatch

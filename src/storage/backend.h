@@ -370,8 +370,7 @@ class StorageBackend {
 /// Constructs the storage behind a scheme: given the array geometry the
 /// scheme computed, returns the backend it will query through. Schemes
 /// default to an in-memory StorageServer when no factory is supplied; the
-/// registry plugs in sharded / cached / fused / socket / cluster
-/// topologies here.
+/// registry plugs in sharded / cached / socket / cluster topologies here.
 using BackendFactory =
     std::function<std::unique_ptr<StorageBackend>(uint64_t n,
                                                   size_t block_size)>;

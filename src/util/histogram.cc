@@ -1,8 +1,7 @@
 #include "util/histogram.h"
 
 #include <algorithm>
-
-#include "util/check.h"
+#include <iterator>
 
 namespace dpstore {
 
@@ -46,39 +45,6 @@ void EventHistogram::Merge(const EventHistogram& other) {
 void EventHistogram::Clear() {
   counts_.clear();
   total_ = 0;
-}
-
-void ValueHistogram::Add(int64_t value) {
-  ++buckets_[value];
-  ++total_;
-}
-
-int64_t ValueHistogram::min() const {
-  DPSTORE_CHECK(!buckets_.empty());
-  return buckets_.begin()->first;
-}
-
-int64_t ValueHistogram::max() const {
-  DPSTORE_CHECK(!buckets_.empty());
-  return buckets_.rbegin()->first;
-}
-
-double ValueHistogram::Mean() const {
-  if (total_ == 0) return 0.0;
-  double sum = 0.0;
-  for (const auto& [value, count] : buckets_) {
-    sum += static_cast<double>(value) * static_cast<double>(count);
-  }
-  return sum / static_cast<double>(total_);
-}
-
-double ValueHistogram::TailFraction(int64_t threshold) const {
-  if (total_ == 0) return 0.0;
-  uint64_t tail = 0;
-  for (auto it = buckets_.upper_bound(threshold); it != buckets_.end(); ++it) {
-    tail += it->second;
-  }
-  return static_cast<double>(tail) / static_cast<double>(total_);
 }
 
 }  // namespace dpstore

@@ -39,27 +39,6 @@ class EventHistogram {
   uint64_t total_ = 0;
 };
 
-/// Integer-bucket histogram for distribution summaries (e.g. stash size over
-/// time). Bucket `i` counts samples with value exactly `i`.
-class ValueHistogram {
- public:
-  void Add(int64_t value);
-
-  uint64_t total() const { return total_; }
-  int64_t min() const;
-  int64_t max() const;
-  double Mean() const;
-
-  /// Fraction of samples with value > threshold (the tail the paper bounds).
-  double TailFraction(int64_t threshold) const;
-
-  const std::map<int64_t, uint64_t>& buckets() const { return buckets_; }
-
- private:
-  std::map<int64_t, uint64_t> buckets_;
-  uint64_t total_ = 0;
-};
-
 }  // namespace dpstore
 
 #endif  // DPSTORE_UTIL_HISTOGRAM_H_

@@ -1,10 +1,10 @@
 // Two-server DPF PIR suite. The load-bearing properties: dpf_pir answers
 // are bit-identical to xor_pir's and trivial_pir's on every storage
 // topology in the registry (the kDpfEval exchange composes through
-// sharding, caching, fusing and the socket codec without changing a
-// byte), each replica's transcript shows exactly one O(lambda log n) key
-// up and one block down per query, and the multi_server_dp_ir DPF mode
-// keeps its correctness/alpha contract. When DPSTORE_SERVER_BIN names the
+// sharding, caching and the socket codec without changing a byte), each
+// replica's transcript shows exactly one O(lambda log n) key up and one
+// block down per query, and the multi_server_dp_ir DPF mode keeps its
+// correctness/alpha contract. When DPSTORE_SERVER_BIN names the
 // dpstore_server binary, the two keys of one query additionally cross
 // into two genuinely separate server processes.
 #include <unistd.h>
@@ -119,7 +119,7 @@ TEST(DpfPirTest, PerReplicaTranscriptIsOneKeyUpOneBlockDown) {
 TEST(DpfPirTest, AnswersBitIdenticalToXorAndTrivialPirOnEveryBackend) {
   for (const std::string& backend :
        {std::string("memory"), std::string("sharded"), std::string("cached"),
-        std::string("fused"), std::string("socket")}) {
+        std::string("socket")}) {
     SCOPED_TRACE(backend);
     auto dpf = SchemeRegistry::Instance().MakeRam("dpf_pir",
                                                   SmallConfig(backend));

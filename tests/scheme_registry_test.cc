@@ -71,12 +71,16 @@ TEST(SchemeRegistryTest, UnknownNamesRejected) {
                 .status()
                 .code(),
             StatusCode::kNotFound);
-  SchemeConfig bad_backend = SmallConfig("quantum");
-  EXPECT_EQ(SchemeRegistry::Instance()
-                .MakeRam("dp_ram", bad_backend)
-                .status()
-                .code(),
-            StatusCode::kNotFound);
+  // "fused" named the retired client-side fusion backend; exchange fusion
+  // now happens only inside StorageService.
+  for (const char* backend : {"quantum", "fused"}) {
+    EXPECT_EQ(SchemeRegistry::Instance()
+                  .MakeRam("dp_ram", SmallConfig(backend))
+                  .status()
+                  .code(),
+              StatusCode::kNotFound)
+        << backend;
+  }
 }
 
 TEST(SchemeRegistryTest, EveryRamSchemeConstructibleAndCorrectOnEveryBackend) {

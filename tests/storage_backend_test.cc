@@ -274,7 +274,7 @@ TEST(CountingOnlyTranscriptTest, DisablingStartsCleanSoQuerySlicesStaySound) {
 /// Every registry backend that runs without an external process ("socket"
 /// spawns an in-process pair server).
 constexpr const char* kBackendNames[] = {"memory", "sharded", "cached",
-                                         "fused",  "socket",  "retry"};
+                                         "socket", "retry"};
 
 std::unique_ptr<StorageBackend> MakeNamedBackend(const char* name) {
   SchemeConfig config;

@@ -403,17 +403,6 @@ TEST(EventHistogramTest, MergeAndClear) {
   EXPECT_EQ(a.distinct(), 0u);
 }
 
-TEST(ValueHistogramTest, TailFraction) {
-  ValueHistogram h;
-  for (int i = 1; i <= 10; ++i) h.Add(i);
-  EXPECT_DOUBLE_EQ(h.TailFraction(8), 0.2);  // 9, 10
-  EXPECT_DOUBLE_EQ(h.TailFraction(10), 0.0);
-  EXPECT_DOUBLE_EQ(h.TailFraction(0), 1.0);
-  EXPECT_EQ(h.min(), 1);
-  EXPECT_EQ(h.max(), 10);
-  EXPECT_DOUBLE_EQ(h.Mean(), 5.5);
-}
-
 // --- TablePrinter ---------------------------------------------------------------
 
 TEST(TablePrinterTest, PrintsAlignedTable) {
